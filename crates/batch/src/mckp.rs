@@ -25,6 +25,15 @@ pub struct MckpItem {
 /// never exceeds the real budget.
 const UNIT_MILLIS: i64 = 1_000;
 
+/// The largest DP table [`solve`] builds, in cells (`classes × (budget
+/// units + 1)`). The choice table holds one `usize` per cell, so this
+/// bounds the solver's memory at 128 MiB (plus two `f64` rows of the table
+/// width). Every instance in the repository's benchmark (≤100 classes ×
+/// ~22k units ≈ 2.2M cells) stays well below it and is solved exactly.
+/// Above it — one request with an enormous budget is enough — `solve`
+/// refuses and the scheduler falls back to [`solve_greedy`].
+pub const MAX_DP_CELLS: usize = 1 << 24;
+
 /// An MCKP solution: for each class the index of the chosen item.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MckpSolution {
@@ -39,8 +48,9 @@ pub struct MckpSolution {
 /// Solves the MCKP: pick exactly one item per class, maximising total value
 /// under the budget.
 ///
-/// Returns `None` when some class is empty or no combination fits the
-/// budget. Complexity is `O(total_items × budget_units)`.
+/// Returns `None` when some class is empty, no combination fits the
+/// budget, or the DP table would exceed [`MAX_DP_CELLS`]. Complexity is
+/// `O(total_items × budget_units)`.
 ///
 /// # Panics
 ///
@@ -68,6 +78,9 @@ pub fn solve(classes: &[Vec<MckpItem>], budget: Money) -> Option<MckpSolution> {
 
     let units = (budget.millis() / UNIT_MILLIS).max(0) as usize;
     let width = units + 1;
+    if width.saturating_mul(classes.len()) > MAX_DP_CELLS {
+        return None;
+    }
     // Round costs up so discretised feasibility implies real feasibility.
     // Costs are validated non-negative above, so plain ceiling division.
     let unit_cost = |cost: Money| -> usize {
@@ -190,6 +203,18 @@ mod tests {
         let s = solve(&classes, Money::from_units(1_000)).unwrap();
         assert_eq!(s.value, 11.0);
         assert_eq!(s.cost, Money::from_units(18));
+    }
+
+    #[test]
+    fn refuses_a_table_above_the_cell_cap() {
+        let classes = vec![vec![item(10, 5.0), item(5, 3.0)], vec![item(8, 6.0)]];
+        // Two classes × (2^23 units + 1) is one row over the cap.
+        let units = (MAX_DP_CELLS / 2) as i64;
+        assert!(solve(&classes, Money::from_units(units)).is_none());
+        // A trillion-credit budget returns at once, without allocating.
+        let huge = Money::from_units(1_000_000_000_000);
+        assert!(solve(&classes, huge).is_none());
+        assert!(solve_greedy(&classes, huge).is_some());
     }
 
     #[test]

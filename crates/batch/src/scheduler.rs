@@ -17,11 +17,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::json::ObjectWriter;
 use slotsel_obs::{
-    Metrics, NoopMetrics, NoopRecorder, NoopSpanSink, Recorder, SpanId, SpanSink, Stopwatch,
-    TraceEvent,
+    Metrics, NoopRecorder, Probes, Recorder, SpanId, SpanSink, Stopwatch, TraceEvent,
 };
 
 use slotsel_core::money::Money;
@@ -230,132 +227,55 @@ impl BatchScheduler {
     /// determinism). The returned schedule contains one [`Assignment`] per
     /// input job.
     ///
-    /// Equivalent to [`schedule_traced`](Self::schedule_traced) with a
-    /// [`NoopRecorder`]; the probes compile away on this path.
+    /// Equivalent to [`schedule_probed`](Self::schedule_probed) with
+    /// [`Probes::none`]; the probes compile away on this path.
     #[must_use]
     pub fn schedule(&self, platform: &Platform, slots: &SlotList, jobs: &[Job]) -> BatchSchedule {
-        self.schedule_traced(platform, slots, jobs, &mut NoopRecorder)
+        self.schedule_probed(platform, slots, jobs, Probes::none())
     }
 
     /// Runs one scheduling cycle with observability probes.
     ///
     /// On top of [`schedule`](Self::schedule)'s behaviour, the cycle
-    /// reports to `recorder`:
+    /// reports to each enabled sink of `probes`:
     ///
-    /// - [`TraceEvent::BatchStarted`], then per job a
+    /// - recorder: [`TraceEvent::BatchStarted`], then per job a
     ///   [`TraceEvent::AlternativesFound`] as phase 1 searches it;
-    /// - [`TraceEvent::MckpSolved`] with the knapsack instance size and
+    ///   [`TraceEvent::MckpSolved`] with the knapsack instance size and
     ///   whether the exact DP (vs the greedy fallback) produced the picks;
-    /// - per job a [`TraceEvent::JobCommitted`] or
+    ///   per job a [`TraceEvent::JobCommitted`] or
     ///   [`TraceEvent::JobDeferred`] as the commit step resolves conflicts;
-    /// - wall-clock timings for the three steps (`"batch.phase1"`,
-    ///   `"batch.phase2"`, `"batch.commit"`).
+    ///   wall-clock timings for the three steps (`"batch.phase1"`,
+    ///   `"batch.phase2"`, `"batch.commit"`);
+    /// - metrics (all names prefixed `slotsel_`): `batch_total`,
+    ///   `batch_jobs_total`, `batch_jobs_scheduled_total`,
+    ///   `batch_jobs_deferred_total` counters over the cycle's outcome;
+    ///   `mckp_total{mode="exact"|"greedy"|"fallback"}`, the phase-2 solver
+    ///   that produced the picks; a `batch_phase_seconds{phase=…}`
+    ///   histogram per step; the `batch_alternatives_per_job` fan-out
+    ///   distribution; plus every scan's and CSA search's metrics;
+    /// - spans: a `"batch.schedule"` root with three phase children —
+    ///   `"batch.phase1"` (one `"csa.search"`/`"aep.scan"` grandchild per
+    ///   job, via [`SearchStrategy::find_alternatives_probed`]),
+    ///   `"batch.phase2"` (MCKP instance size and solver mode as
+    ///   attributes) and `"batch.commit"` (committed/deferred counts).
+    ///
+    /// With disabled sinks every probe compiles away and the schedule is
+    /// identical to the plain path, bit for bit.
     #[must_use]
-    pub fn schedule_traced<R: Recorder>(
+    #[allow(clippy::too_many_lines)]
+    pub fn schedule_probed<R: Recorder, M: Metrics, S: SpanSink>(
         &self,
         platform: &Platform,
         slots: &SlotList,
         jobs: &[Job],
-        recorder: &mut R,
+        probes: Probes<R, M, S>,
     ) -> BatchSchedule {
-        self.schedule_metered(platform, slots, jobs, recorder, &NoopMetrics)
-    }
-
-    /// Runs one scheduling cycle with both event tracing and live metrics.
-    ///
-    /// On top of [`schedule_traced`](Self::schedule_traced)'s behaviour,
-    /// the cycle records to `metrics` (all names prefixed `slotsel_`):
-    ///
-    /// - `batch_total`, `batch_jobs_total`, `batch_jobs_scheduled_total`,
-    ///   `batch_jobs_deferred_total` — counters over the cycle's outcome;
-    /// - `mckp_total{mode="exact"|"greedy"|"fallback"}` — which phase-2
-    ///   solver produced the picks;
-    /// - `batch_phase_seconds{phase=…}` — a histogram per step;
-    /// - `batch_alternatives_per_job` — the phase-1 fan-out distribution.
-    ///
-    /// With [`NoopMetrics`] (or a disabled sink) every probe compiles away
-    /// and the schedule is identical to the untraced path, bit for bit.
-    #[must_use]
-    pub fn schedule_metered<R: Recorder, M: Metrics>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-    ) -> BatchSchedule {
-        self.schedule_journaled(platform, slots, jobs, recorder, metrics, &mut NoopJournal)
-    }
-
-    /// Runs one scheduling cycle with tracing, metrics and a durable audit
-    /// stream.
-    ///
-    /// On top of [`schedule_metered`](Self::schedule_metered)'s behaviour,
-    /// the cycle appends one flat JSON record per decision to `journal` and
-    /// commits the batch at the end of the cycle:
-    ///
-    /// - `{"record":"batch_started","jobs":N}` as the cycle begins;
-    /// - `{"record":"mckp_solved","classes":…,"items":…,"exact":…}` after
-    ///   phase 2;
-    /// - per job, `{"record":"job_committed","job":…,"start":…,
-    ///   "finish":…,"cost":…}` or `{"record":"job_deferred","job":…}` as
-    ///   the commit step resolves conflicts.
-    ///
-    /// This is an *audit stream* for standalone batch runs — flat records
-    /// any JSONL tool can consume — not the rolling simulation's typed
-    /// write-ahead log: a journaled rolling run records its scan commits in
-    /// its own WAL (`slotsel_sim::journal`) and does **not** forward that
-    /// WAL here. With a [`NoopJournal`] every probe compiles away and the
-    /// schedule is identical to [`schedule_metered`](Self::schedule_metered),
-    /// bit for bit (which delegates here).
-    #[must_use]
-    pub fn schedule_journaled<R: Recorder, M: Metrics, J: Journal>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-        journal: &mut J,
-    ) -> BatchSchedule {
-        self.schedule_spanned(
-            platform,
-            slots,
-            jobs,
-            recorder,
+        let Probes {
+            mut recorder,
             metrics,
-            journal,
-            &mut NoopSpanSink,
-        )
-    }
-
-    /// Runs one scheduling cycle with tracing, metrics, a journal **and**
-    /// hierarchical spans.
-    ///
-    /// On top of [`schedule_journaled`](Self::schedule_journaled)'s
-    /// behaviour, when `spans` is [enabled](SpanSink::enabled) the cycle
-    /// records a `"batch.schedule"` root span with three phase children —
-    /// `"batch.phase1"` (one `"csa.search"`/`"aep.scan"` grandchild per
-    /// job, via [`SearchStrategy::find_alternatives_spanned`]),
-    /// `"batch.phase2"` (MCKP instance size and solver mode as
-    /// attributes) and `"batch.commit"` (committed/deferred counts).
-    ///
-    /// With [`NoopSpanSink`] the span branches are dead code and this is
-    /// exactly [`schedule_journaled`](Self::schedule_journaled) — same
-    /// schedule, trace, metrics and journal, bit for bit (which delegates
-    /// here).
-    #[must_use]
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
-    pub fn schedule_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        jobs: &[Job],
-        recorder: &mut R,
-        metrics: &M,
-        journal: &mut J,
-        spans: &mut S,
-    ) -> BatchSchedule {
+            mut spans,
+        } = probes;
         let metered = metrics.enabled();
         let spanning = spans.enabled();
         let root = if spanning {
@@ -372,12 +292,6 @@ impl BatchScheduler {
             recorder.emit(TraceEvent::BatchStarted {
                 jobs: jobs.len() as u64,
             });
-        }
-        if journal.enabled() {
-            let mut record = ObjectWriter::new();
-            record.str_field("record", "batch_started");
-            record.u64_field("jobs", jobs.len() as u64);
-            journal.append(&record.finish());
         }
 
         // Phase 1: alternatives per job, all on the same slot list. A job
@@ -407,12 +321,11 @@ impl BatchScheduler {
                     .iter()
                     .find(|(id, _)| *id == job.id())
                     .map_or(default_search, |&(_, s)| s);
-                let found = strategy.find_alternatives_spanned(
+                let found = strategy.find_alternatives_probed(
                     platform,
                     slots,
                     job.request(),
-                    metrics,
-                    spans,
+                    Probes::new(NoopRecorder, &metrics, &mut spans).as_dyn(),
                 );
                 if recorder.enabled() {
                     recorder.emit(TraceEvent::AlternativesFound {
@@ -513,14 +426,6 @@ impl BatchScheduler {
                 exact: solved_exactly,
             });
         }
-        if journal.enabled() {
-            let mut record = ObjectWriter::new();
-            record.str_field("record", "mckp_solved");
-            record.u64_field("classes", classes.len() as u64);
-            record.u64_field("items", classes.iter().map(Vec::len).sum::<usize>() as u64);
-            record.bool_field("exact", solved_exactly);
-            journal.append(&record.finish());
-        }
         if metered {
             metrics.counter_add("slotsel_mckp_total", &[("mode", mckp_mode)], 1);
         }
@@ -596,23 +501,6 @@ impl BatchScheduler {
                     }),
                 }
             }
-            if journal.enabled() {
-                let mut record = ObjectWriter::new();
-                match &window {
-                    Some(w) => {
-                        record.str_field("record", "job_committed");
-                        record.u64_field("job", u64::from(job.id().0));
-                        record.i64_field("start", w.start().ticks());
-                        record.i64_field("finish", w.finish().ticks());
-                        record.f64_field("cost", w.total_cost().as_f64());
-                    }
-                    None => {
-                        record.str_field("record", "job_deferred");
-                        record.u64_field("job", u64::from(job.id().0));
-                    }
-                }
-                journal.append(&record.finish());
-            }
             assignments.push(Assignment {
                 job: (*job).clone(),
                 window,
@@ -637,11 +525,6 @@ impl BatchScheduler {
             spans.attr_u64("committed", schedule.scheduled() as u64);
             spans.attr_u64("deferred", schedule.deferred() as u64);
             spans.close(span);
-        }
-        if journal.enabled() {
-            // One commit per cycle: the batch's records become durable
-            // together.
-            journal.commit();
         }
         if metered {
             metrics.counter_add("slotsel_batch_total", &[], 1);
@@ -733,6 +616,7 @@ mod tests {
     use slotsel_core::{
         Interval, JobId, NodeSpec, Performance, ResourceRequest, TimePoint, Volume,
     };
+    use slotsel_obs::NoopSpanSink;
 
     fn platform(count: u32, perf: u32, price: f64) -> Platform {
         (0..count)
@@ -1053,8 +937,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_schedule_matches_untraced_and_reports_batch_events() {
-        use slotsel_obs::MemoryRecorder;
+    fn probed_schedule_matches_plain_and_feeds_every_sink() {
+        use slotsel_obs::{MemoryRecorder, MemorySpanSink, MetricsRegistry};
 
         let p = platform(4, 2, 1.0);
         let slots = idle(&p, 600);
@@ -1068,12 +952,19 @@ mod tests {
         let scheduler = BatchScheduler::default();
         let plain = scheduler.schedule(&p, &slots, &jobs);
         let mut recorder = MemoryRecorder::new();
-        let traced = scheduler.schedule_traced(&p, &slots, &jobs, &mut recorder);
+        let registry = MetricsRegistry::new();
+        let mut sink = MemorySpanSink::new();
+        let probed = scheduler.schedule_probed(
+            &p,
+            &slots,
+            &jobs,
+            Probes::new(&mut recorder, &registry, &mut sink),
+        );
 
         // The instrumented path must not change scheduling decisions.
-        assert_eq!(plain, traced);
-        assert_eq!(traced.scheduled(), 2);
-        assert_eq!(traced.deferred(), 1);
+        assert_eq!(plain, probed);
+        assert_eq!(probed.scheduled(), 2);
+        assert_eq!(probed.deferred(), 1);
 
         let started: Vec<_> = recorder
             .events_where(|e| matches!(e, TraceEvent::BatchStarted { .. }))
@@ -1123,63 +1014,69 @@ mod tests {
             let timer = recorder.timer(phase).expect(phase);
             assert_eq!(timer.count(), 1, "{phase} timed once");
         }
+
+        // Metrics: the cycle's outcome, the solver mode, one phase timing
+        // per step, the fan-out per job, and the scans underneath.
+        for (name, value) in [
+            ("slotsel_batch_total", 1),
+            ("slotsel_batch_jobs_total", 3),
+            ("slotsel_batch_jobs_scheduled_total", 2),
+            ("slotsel_batch_jobs_deferred_total", 1),
+        ] {
+            assert_eq!(registry.counter_value(name, &[]), value, "{name}");
+        }
+        assert_eq!(
+            registry.counter_value("slotsel_mckp_total", &[("mode", "exact")]),
+            1
+        );
+        for phase in ["alternatives", "mckp", "commit"] {
+            let labels = [("phase", phase)];
+            let timings = registry.histogram("slotsel_batch_phase_seconds", &labels);
+            assert_eq!(timings.expect(phase).count(), 1, "{phase}");
+        }
+        let fan_out = registry.histogram("slotsel_batch_alternatives_per_job", &[]);
+        assert_eq!(fan_out.expect("fan-out histogram").count(), 3);
+        assert!(registry.counter_value("slotsel_scan_total", &[("policy", "AMP")]) > 0);
+
+        // Spans: the root carries the phase children, phase 1 holds one
+        // csa.search per job with aep.scan leaves, and every span nests
+        // inside the root's interval.
+        let records = sink.take_records();
+        let root = &records[0];
+        assert_eq!(root.name, "batch.schedule");
+        for phase in ["batch.phase1", "batch.phase2", "batch.commit"] {
+            assert!(
+                records
+                    .iter()
+                    .any(|r| r.name == phase && r.parent == root.id),
+                "missing {phase} under the root"
+            );
+        }
+        assert_eq!(records.iter().filter(|r| r.name == "csa.search").count(), 3);
+        assert!(records.iter().any(|r| r.name == "aep.scan"));
+        for record in &records {
+            assert!(record.start_us >= root.start_us && record.end_us <= root.end_us);
+        }
     }
 
     #[test]
-    fn journaled_schedule_matches_plain_and_audits_every_decision() {
-        use slotsel_obs::journal::MemoryJournal;
-        use slotsel_obs::json::parse_object;
+    fn an_enormous_budget_falls_back_to_the_greedy_solver() {
+        use slotsel_obs::MetricsRegistry;
 
         let p = platform(4, 2, 1.0);
         let slots = idle(&p, 600);
-        // Job 2 is oversized, so it is deferred with no alternatives.
-        let jobs = vec![
-            job(0, 3, 2, 100, 1_000.0),
-            job(1, 1, 2, 100, 1_000.0),
-            job(2, 2, 9, 100, 1_000.0),
-        ];
-        let scheduler = BatchScheduler::default();
-        let plain = scheduler.schedule(&p, &slots, &jobs);
-        let mut journal = MemoryJournal::new();
-        let journaled = scheduler.schedule_journaled(
+        let jobs = vec![job(0, 1, 2, 100, 1e12), job(1, 1, 2, 100, 1_000.0)];
+        let registry = MetricsRegistry::new();
+        let schedule = BatchScheduler::default().schedule_probed(
             &p,
             &slots,
             &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut journal,
+            Probes::new(NoopRecorder, &registry, NoopSpanSink),
         );
+        assert_eq!(schedule.scheduled(), 2);
         assert_eq!(
-            plain, journaled,
-            "the audit stream must not alter the schedule"
-        );
-
-        let kinds: Vec<String> = journal
-            .records()
-            .iter()
-            .map(|line| {
-                parse_object(line).unwrap()["record"]
-                    .as_str()
-                    .unwrap()
-                    .to_owned()
-            })
-            .collect();
-        assert_eq!(
-            kinds,
-            [
-                "batch_started",
-                "mckp_solved",
-                "job_committed",
-                "job_deferred",
-                "job_committed"
-            ],
-            "one record per decision, in commit order"
-        );
-        assert_eq!(journal.commits(), 1, "the cycle commits as one batch");
-        assert_eq!(
-            journal.committed_records().len(),
-            journal.records().len(),
-            "everything is durable after the cycle"
+            registry.counter_value("slotsel_mckp_total", &[("mode", "greedy")]),
+            1
         );
     }
 
@@ -1198,61 +1095,6 @@ mod tests {
             for j in (i + 1)..windows.len() {
                 assert!(!windows_conflict(windows[i], windows[j]), "{i} vs {j}");
             }
-        }
-    }
-
-    #[test]
-    fn spanned_schedule_matches_plain_and_records_phase_tree() {
-        use slotsel_obs::MemorySpanSink;
-        let p = platform(8, 3, 2.0);
-        let slots = idle(&p, 600);
-        let jobs: Vec<Job> = (0..4).map(|i| job(i, i, 2, 100, 10_000.0)).collect();
-        let scheduler = BatchScheduler::default();
-        let plain = scheduler.schedule(&p, &slots, &jobs);
-
-        // Disabled sink: identical schedule through the spanned path.
-        let dark = scheduler.schedule_spanned(
-            &p,
-            &slots,
-            &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopJournal,
-            &mut NoopSpanSink,
-        );
-        assert_eq!(dark.assignments, plain.assignments);
-
-        // Enabled sink: still identical, and the root span carries the
-        // phase children plus one aep.scan per CSA inner select.
-        let mut sink = MemorySpanSink::new();
-        let spanned = scheduler.schedule_spanned(
-            &p,
-            &slots,
-            &jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopJournal,
-            &mut sink,
-        );
-        assert_eq!(spanned.assignments, plain.assignments);
-        let records = sink.take_records();
-        let root = records
-            .iter()
-            .find(|r| r.name == "batch.schedule")
-            .expect("root span");
-        for phase in ["batch.phase1", "batch.phase2", "batch.commit"] {
-            assert!(
-                records
-                    .iter()
-                    .any(|r| r.name == phase && r.parent == root.id),
-                "missing {phase} under the root"
-            );
-        }
-        assert!(records.iter().any(|r| r.name == "csa.search"));
-        assert!(records.iter().any(|r| r.name == "aep.scan"));
-        // Every non-root span nests inside the root's interval.
-        for record in &records {
-            assert!(record.start_us >= root.start_us && record.end_us <= root.end_us);
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::{Metrics, NoopMetrics, SpanSink};
+use slotsel_obs::{DynProbes, Probes};
 
 use slotsel_core::algorithms::{MinCost, MinFinish, MinProcTime, MinRunTime};
 use slotsel_core::criteria::Criterion;
@@ -52,90 +52,46 @@ impl SearchStrategy {
         slots: &SlotList,
         request: &ResourceRequest,
     ) -> Vec<Window> {
-        self.find_alternatives_metered(platform, slots, request, &NoopMetrics)
+        self.find_alternatives_probed(platform, slots, request, Probes::none().as_dyn())
     }
 
-    /// Like [`find_alternatives`](Self::find_alternatives), threading a
-    /// live-metrics sink into the underlying scans. With [`NoopMetrics`]
-    /// this is the uninstrumented search, bit for bit.
+    /// Like [`find_alternatives`](Self::find_alternatives), reporting the
+    /// underlying scans to `probes`: a `"csa.search"` span with per-run
+    /// `"aep.scan"` children for the CSA arm, a bare `"aep.scan"` span for
+    /// the directed arm, plus the scan and CSA metrics. With disabled sinks
+    /// this is the plain search, bit for bit.
     #[must_use]
-    pub fn find_alternatives_metered(
+    pub fn find_alternatives_probed(
         &self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Vec<Window> {
         match *self {
             SearchStrategy::Csa { max_alternatives } => Csa::new()
                 .cut_policy(CutPolicy::ReservationSpan)
                 .max_alternatives(max_alternatives)
-                .find_alternatives_metered(platform, slots, request, &mut Amp, metrics),
+                .find_alternatives_probed(platform, slots, request, &mut Amp, probes),
             SearchStrategy::Directed(criterion) => {
                 let window = match criterion {
-                    Criterion::EarliestStart => {
-                        Amp.select_metered(platform, slots, request, metrics)
-                    }
+                    Criterion::EarliestStart => Amp.select_probed(platform, slots, request, probes),
                     Criterion::EarliestFinish => {
-                        MinFinish::new().select_metered(platform, slots, request, metrics)
+                        MinFinish::new().select_probed(platform, slots, request, probes)
                     }
                     Criterion::MinTotalCost => {
-                        MinCost.select_metered(platform, slots, request, metrics)
+                        MinCost.select_probed(platform, slots, request, probes)
                     }
                     Criterion::MinRuntime => {
-                        MinRunTime::new().select_metered(platform, slots, request, metrics)
+                        MinRunTime::new().select_probed(platform, slots, request, probes)
                     }
                     Criterion::MinProcTime => {
                         // Deterministic per-request seed keeps the batch
                         // cycle reproducible.
                         MinProcTime::with_seed(request.volume().work() ^ 0x5EED)
-                            .select_metered(platform, slots, request, metrics)
+                            .select_probed(platform, slots, request, probes)
                     }
                 };
-                window.into_iter().collect()
-            }
-        }
-    }
-
-    /// Like [`find_alternatives_metered`](Self::find_alternatives_metered),
-    /// additionally recording spans on `spans`: a `"csa.search"` span with
-    /// per-run `"aep.scan"` children for the CSA arm, a bare `"aep.scan"`
-    /// span for the directed arm. With a disabled sink this is the metered
-    /// search, bit for bit.
-    #[must_use]
-    pub fn find_alternatives_spanned(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Vec<Window> {
-        match *self {
-            SearchStrategy::Csa { max_alternatives } => Csa::new()
-                .cut_policy(CutPolicy::ReservationSpan)
-                .max_alternatives(max_alternatives)
-                .find_alternatives_spanned(platform, slots, request, &mut Amp, metrics, spans),
-            SearchStrategy::Directed(criterion) => {
-                let window =
-                    match criterion {
-                        Criterion::EarliestStart => {
-                            Amp.select_spanned(platform, slots, request, metrics, spans)
-                        }
-                        Criterion::EarliestFinish => MinFinish::new()
-                            .select_spanned(platform, slots, request, metrics, spans),
-                        Criterion::MinTotalCost => {
-                            MinCost.select_spanned(platform, slots, request, metrics, spans)
-                        }
-                        Criterion::MinRuntime => MinRunTime::new()
-                            .select_spanned(platform, slots, request, metrics, spans),
-                        Criterion::MinProcTime => {
-                            // Deterministic per-request seed keeps the batch
-                            // cycle reproducible.
-                            MinProcTime::with_seed(request.volume().work() ^ 0x5EED)
-                                .select_spanned(platform, slots, request, metrics, spans)
-                        }
-                    };
                 window.into_iter().collect()
             }
         }

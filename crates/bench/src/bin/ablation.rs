@@ -18,12 +18,13 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use slotsel_bench::numeric_flag;
-use slotsel_core::aep::{scan_with, ScanOptions};
+use slotsel_core::aep::{scan_probed, ScanOptions};
 use slotsel_core::algorithms::RuntimeSelection;
 use slotsel_core::{
     Csa, CutPolicy, MinFinish, MinRunTime, Money, ResourceRequest, SlotSelector, TimeDelta, Volume,
 };
 use slotsel_env::{Environment, EnvironmentConfig};
+use slotsel_obs::Probes;
 
 fn environments(cycles: u64) -> Vec<Environment> {
     (0..cycles)
@@ -113,16 +114,17 @@ fn ablate_scan_pruning(envs: &[Environment], request: &ResourceRequest) {
             }
         }
         let t = Instant::now();
-        let plain = scan_with(
+        let plain = scan_probed(
             env.platform(),
             env.slots(),
             request,
             &mut FinishPolicy,
             ScanOptions::default(),
+            Probes::none(),
         );
         plain_time += t.elapsed().as_secs_f64();
         let t = Instant::now();
-        let pruned = scan_with(
+        let pruned = scan_probed(
             env.platform(),
             env.slots(),
             request,
@@ -130,6 +132,7 @@ fn ablate_scan_pruning(envs: &[Environment], request: &ResourceRequest) {
             ScanOptions {
                 prune_start_bounded: true,
             },
+            Probes::none(),
         );
         pruned_time += t.elapsed().as_secs_f64();
         plain_admitted += plain.stats.slots_admitted as u64;
@@ -199,11 +202,12 @@ fn ablate_csa_base(envs: &[Environment], request: &ResourceRequest) {
                 .max_alternatives(16);
             let alternatives = match make {
                 0 => csa.find_alternatives(env.platform(), env.slots(), request),
-                _ => csa.find_alternatives_with(
+                _ => csa.find_alternatives_probed(
                     env.platform(),
                     env.slots(),
                     request,
                     &mut slotsel_core::MinCost,
+                    Probes::none().as_dyn(),
                 ),
             };
             time += t.elapsed().as_secs_f64();

@@ -47,7 +47,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use slotsel_bench::{cutting, numeric_flag};
-use slotsel_core::aep::{scan_with, ScanOptions, SelectionPolicy};
+use slotsel_core::aep::{scan_probed, ScanOptions, SelectionPolicy};
 use slotsel_core::algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime};
 use slotsel_core::csa::Csa;
 use slotsel_core::money::Money;
@@ -56,6 +56,7 @@ use slotsel_core::reference::reference_scan_with;
 use slotsel_core::request::ResourceRequest;
 use slotsel_core::slotlist::{SlotList, SlotStoreKind};
 use slotsel_env::EnvironmentConfig;
+use slotsel_obs::Probes;
 use slotsel_sim::batch_experiment::{self, BatchExperimentConfig};
 use slotsel_sim::config::RequestConfig;
 use slotsel_sim::parallel::Parallelism;
@@ -284,12 +285,13 @@ fn scan_benchmarks(fixtures: &[(&str, usize)], repeats: u64) -> Vec<ScanRow> {
                     ScanOptions::default(),
                 )
             } else {
-                scan_with(
+                scan_probed(
                     env.platform(),
                     env.slots(),
                     &request,
                     policy,
                     ScanOptions::default(),
+                    Probes::none(),
                 )
             };
             outcome.best.map(|w| w.total_cost().as_f64())

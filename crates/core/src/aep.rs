@@ -56,7 +56,7 @@
 //! # }
 //! ```
 
-use slotsel_obs::{Metrics, NoopMetrics, NoopRecorder, Recorder, SpanSink, Stopwatch, TraceEvent};
+use slotsel_obs::{Metrics, Probes, Recorder, SpanSink, Stopwatch, TraceEvent};
 
 use crate::node::Platform;
 use crate::pool::CandidatePool;
@@ -180,7 +180,7 @@ pub trait SelectionPolicy {
     }
 }
 
-/// Tuning knobs for [`scan_with`].
+/// Tuning knobs for [`scan_probed`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScanOptions {
     /// Stop scanning once no later window could beat the current best.
@@ -236,7 +236,7 @@ impl PartialEq for ScanStats {
 
 impl Eq for ScanStats {}
 
-/// Result of [`scan_with`]: the best window plus scan counters.
+/// Result of [`scan_probed`]: the best window plus scan counters.
 #[derive(Debug, Clone)]
 pub struct ScanOutcome {
     /// The best window by the policy's criterion, if any window was found.
@@ -247,8 +247,8 @@ pub struct ScanOutcome {
 
 /// Runs the AEP scan and returns the best window by the policy's criterion.
 ///
-/// Equivalent to [`scan_with`] with default [`ScanOptions`], discarding the
-/// statistics.
+/// Equivalent to [`scan_probed`] with default [`ScanOptions`] and
+/// [`Probes::none`], discarding the statistics.
 #[must_use]
 pub fn scan(
     platform: &Platform,
@@ -256,11 +256,53 @@ pub fn scan(
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
 ) -> Option<Window> {
-    scan_with(platform, slots, request, policy, ScanOptions::default()).best
+    scan_probed(
+        platform,
+        slots,
+        request,
+        policy,
+        ScanOptions::default(),
+        Probes::none(),
+    )
+    .best
 }
 
-/// Runs the AEP scan with explicit options, returning the best window and
-/// scan statistics.
+/// One exported [`ScanStats`] counter: how to read it, its Prometheus
+/// counter (labelled with the policy) and its `"aep.scan"` span attribute.
+type ScanCounter = (fn(&ScanStats) -> usize, &'static str, &'static str);
+
+/// The [`ScanStats`] counters every scan exports, in span-attribute order.
+/// Both the metrics and the span channel are generated from this table.
+const SCAN_COUNTERS: [ScanCounter; 5] = [
+    (
+        |s| s.slots_admitted,
+        "slotsel_scan_slots_admitted_total",
+        "slots_admitted",
+    ),
+    (
+        |s| s.slots_rejected,
+        "slotsel_scan_slots_rejected_total",
+        "slots_rejected",
+    ),
+    (
+        |s| s.windows_evaluated,
+        "slotsel_scan_windows_evaluated_total",
+        "windows_evaluated",
+    ),
+    (
+        |s| s.subtrees_skipped,
+        "slotsel_scan_subtrees_skipped_total",
+        "subtrees_skipped",
+    ),
+    (
+        |s| s.windows_jumped,
+        "slotsel_scan_windows_jumped_total",
+        "windows_jumped",
+    ),
+];
+
+/// Runs the AEP scan with explicit options and observability probes,
+/// returning the best window and scan statistics.
 ///
 /// Slots whose node fails the request's hardware/software requirements, or
 /// that are too short for the task even when fully used, never enter the
@@ -274,94 +316,71 @@ pub fn scan(
 /// traces are identical, with the pruning work reported in
 /// [`ScanStats::subtrees_skipped`] and [`ScanStats::windows_jumped`].
 ///
-/// Equivalent to [`scan_traced`] with a [`NoopRecorder`]; the probes
-/// compile away entirely on this path.
+/// The scan reports to each enabled sink of `probes`:
+///
+/// - recorder: [`TraceEvent::ScanStarted`] / [`TraceEvent::ScanFinished`]
+///   bracketing the scan, the latter carrying the full [`ScanStats`];
+///   [`TraceEvent::BestUpdated`] for every improvement of the best-so-far
+///   window (the paper's `maxCriterion` updates); an `"aep.alive"` sample
+///   of the extended-window size at every admission and an `"aep.scan"`
+///   wall-clock timing;
+/// - metrics, all labelled with the policy name: the counters
+///   `slotsel_scan_total`, `slotsel_scan_windows_found_total`,
+///   `slotsel_scan_{slots_admitted,slots_rejected,windows_evaluated}_total`,
+///   `slotsel_scan_{subtrees_skipped,windows_jumped}_total` (the
+///   aggregate-pruned cursor's work on tree-backed lists; 0 on `Vec`
+///   lists), `slotsel_pool_evicted_superseded_total` and
+///   `slotsel_pool_evicted_expired_total`, and the histograms
+///   `slotsel_scan_seconds` and `slotsel_scan_alive_peak`;
+/// - spans: an `"aep.scan"` span around the whole scan carrying the policy
+///   name, the same five [`ScanStats`] counters (`slots_admitted`,
+///   `slots_rejected`, `windows_evaluated`, `subtrees_skipped`,
+///   `windows_jumped`) and whether a window was `found`. It parents under
+///   whatever span is open on the sink.
+///
+/// Every probe is gated on its sink's `enabled()`: with [`Probes::none`]
+/// the instrumented branches are dead code and this monomorphises to the
+/// uninstrumented scan.
 #[must_use]
-pub fn scan_with(
+pub fn scan_probed<R: Recorder, M: Metrics, S: SpanSink>(
     platform: &Platform,
     slots: &SlotList,
     request: &ResourceRequest,
     policy: &mut dyn SelectionPolicy,
     options: ScanOptions,
+    probes: Probes<R, M, S>,
 ) -> ScanOutcome {
-    scan_traced(platform, slots, request, policy, options, &mut NoopRecorder)
-}
-
-/// Runs the AEP scan with observability probes.
-///
-/// On top of [`scan_with`]'s behaviour, the scan reports to `recorder`:
-///
-/// - [`TraceEvent::ScanStarted`] / [`TraceEvent::ScanFinished`] bracketing
-///   the scan, the latter carrying the full [`ScanStats`];
-/// - [`TraceEvent::BestUpdated`] for every improvement of the best-so-far
-///   window (the paper's `maxCriterion` updates);
-/// - an `"aep.alive"` sample of the extended-window size at every
-///   admission, and an `"aep.scan"` wall-clock timing for the whole scan.
-///
-/// All probes are gated on [`Recorder::enabled`]: with the default
-/// [`NoopRecorder`] (a constant `false`) the instrumented branches are
-/// dead code and this function monomorphises to the uninstrumented scan.
-#[must_use]
-pub fn scan_traced<R: Recorder>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-) -> ScanOutcome {
-    scan_metered(
-        platform,
-        slots,
-        request,
-        policy,
-        options,
-        recorder,
-        &NoopMetrics,
-    )
-}
-
-/// Runs the AEP scan with observability probes **and** live metrics.
-///
-/// On top of [`scan_traced`]'s behaviour, when `metrics` is
-/// [enabled](Metrics::enabled) the scan records — all labelled with the
-/// policy name:
-///
-/// - counters `slotsel_scan_total`, `slotsel_scan_windows_found_total`,
-///   `slotsel_scan_slots_admitted_total`,
-///   `slotsel_scan_slots_rejected_total`,
-///   `slotsel_scan_windows_evaluated_total`,
-///   `slotsel_scan_subtrees_skipped_total`,
-///   `slotsel_scan_windows_jumped_total` (the aggregate-pruned cursor's
-///   work on tree-backed lists; 0 on `Vec` lists),
-///   `slotsel_pool_evicted_superseded_total` and
-///   `slotsel_pool_evicted_expired_total`;
-/// - histograms `slotsel_scan_seconds` (wall-clock per scan) and
-///   `slotsel_scan_alive_peak` (largest extended-window size).
-///
-/// With [`NoopMetrics`] this monomorphises to [`scan_traced`] exactly as
-/// [`scan_traced`] with a [`NoopRecorder`] monomorphises to [`scan_with`]:
-/// the metered path costs nothing unless a live sink is attached.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn scan_metered<R: Recorder, M: Metrics>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-    metrics: &M,
-) -> ScanOutcome {
+    let Probes {
+        mut recorder,
+        metrics,
+        mut spans,
+    } = probes;
+    let span = spans.enabled().then(|| spans.open("aep.scan"));
     let metered = metrics.enabled();
     let watch = Stopwatch::start_if(metered);
     let (outcome, superseded, expired) = if policy.stop_at_first() && policy.first_fit_feasibility()
     {
-        first_fit_scan(platform, slots, request, policy, options, recorder, metrics)
+        first_fit_scan(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut recorder,
+            &metrics,
+        )
     } else if policy.random_pick().is_some() {
-        random_scan(platform, slots, request, policy, options, recorder, metrics)
+        random_scan(
+            platform,
+            slots,
+            request,
+            policy,
+            options,
+            &mut recorder,
+            &metrics,
+        )
     } else {
-        pool_scan(platform, slots, request, policy, options, recorder)
+        pool_scan(platform, slots, request, policy, options, &mut recorder)
     };
     if metered {
         let name = policy.name().to_owned();
@@ -370,31 +389,9 @@ pub fn scan_metered<R: Recorder, M: Metrics>(
         if outcome.best.is_some() {
             metrics.counter_add("slotsel_scan_windows_found_total", &labels, 1);
         }
-        metrics.counter_add(
-            "slotsel_scan_slots_admitted_total",
-            &labels,
-            outcome.stats.slots_admitted as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_slots_rejected_total",
-            &labels,
-            outcome.stats.slots_rejected as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_windows_evaluated_total",
-            &labels,
-            outcome.stats.windows_evaluated as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_subtrees_skipped_total",
-            &labels,
-            outcome.stats.subtrees_skipped as u64,
-        );
-        metrics.counter_add(
-            "slotsel_scan_windows_jumped_total",
-            &labels,
-            outcome.stats.windows_jumped as u64,
-        );
+        for (field, counter, _) in SCAN_COUNTERS {
+            metrics.counter_add(counter, &labels, field(&outcome.stats) as u64);
+        }
         metrics.counter_add("slotsel_pool_evicted_superseded_total", &labels, superseded);
         metrics.counter_add("slotsel_pool_evicted_expired_total", &labels, expired);
         #[allow(clippy::cast_precision_loss)]
@@ -412,48 +409,14 @@ pub fn scan_metered<R: Recorder, M: Metrics>(
             );
         }
     }
-    outcome
-}
-
-/// Runs the AEP scan with probes, metrics **and** a tracing span.
-///
-/// On top of [`scan_metered`]'s behaviour, when `spans` is
-/// [enabled](SpanSink::enabled) the whole scan runs inside an
-/// `"aep.scan"` span carrying the policy name, the full [`ScanStats`]
-/// (including the aggregate-pruned cursor's `subtrees_skipped` /
-/// `windows_jumped` tallies) and whether a window was found. The span
-/// parents under whatever span is open on the sink — the batch
-/// scheduler's per-job search, the serve daemon's per-shard track.
-///
-/// With [`NoopSpanSink`](slotsel_obs::NoopSpanSink) the span branch is
-/// dead code and this is exactly [`scan_metered`]: same windows, same
-/// stats, same trace, same metrics — the contract the bit-identity tests
-/// pin.
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn scan_spanned<R: Recorder, M: Metrics, S: SpanSink + ?Sized>(
-    platform: &Platform,
-    slots: &SlotList,
-    request: &ResourceRequest,
-    policy: &mut dyn SelectionPolicy,
-    options: ScanOptions,
-    recorder: &mut R,
-    metrics: &M,
-    spans: &mut S,
-) -> ScanOutcome {
-    if !spans.enabled() {
-        return scan_metered(platform, slots, request, policy, options, recorder, metrics);
+    if let Some(span) = span {
+        spans.attr_str("policy", policy.name());
+        for (field, _, attr) in SCAN_COUNTERS {
+            spans.attr_u64(attr, field(&outcome.stats) as u64);
+        }
+        spans.attr_u64("found", u64::from(outcome.best.is_some()));
+        spans.close(span);
     }
-    let span = spans.open("aep.scan");
-    let outcome = scan_metered(platform, slots, request, policy, options, recorder, metrics);
-    spans.attr_str("policy", policy.name());
-    spans.attr_u64("slots_admitted", outcome.stats.slots_admitted as u64);
-    spans.attr_u64("slots_rejected", outcome.stats.slots_rejected as u64);
-    spans.attr_u64("windows_evaluated", outcome.stats.windows_evaluated as u64);
-    spans.attr_u64("subtrees_skipped", outcome.stats.subtrees_skipped as u64);
-    spans.attr_u64("windows_jumped", outcome.stats.windows_jumped as u64);
-    spans.attr_u64("found", u64::from(outcome.best.is_some()));
-    spans.close(span);
     outcome
 }
 
@@ -522,6 +485,76 @@ impl<'a> ScanStream<'a> {
     }
 }
 
+/// A scan's trace-event bracket, present only when the recorder is
+/// enabled. The policy name is fetched (and allocated) once per scan, not
+/// once per emitted event — `pick` can fire thousands of events on long
+/// slot lists.
+struct ScanTrace {
+    policy: String,
+    watch: Stopwatch,
+}
+
+impl ScanTrace {
+    /// Emits [`TraceEvent::ScanStarted`] and starts the `"aep.scan"` timer.
+    fn start<R: Recorder>(
+        recorder: &mut R,
+        policy: &dyn SelectionPolicy,
+        n: usize,
+        slots: &SlotList,
+    ) -> Option<Self> {
+        if !recorder.enabled() {
+            return None;
+        }
+        let watch = Stopwatch::start();
+        let policy = policy.name().to_string();
+        recorder.emit(TraceEvent::ScanStarted {
+            policy: policy.clone(),
+            nodes_requested: n as u64,
+            slots_total: slots.len() as u64,
+        });
+        Some(ScanTrace { policy, watch })
+    }
+
+    /// Emits [`TraceEvent::BestUpdated`] for an improvement at the
+    /// `step`-th admission.
+    fn best_updated<R: Recorder>(
+        &self,
+        recorder: &mut R,
+        step: usize,
+        window_start: TimePoint,
+        score: f64,
+    ) {
+        recorder.emit(TraceEvent::BestUpdated {
+            policy: self.policy.clone(),
+            step: step as u64,
+            window_start: window_start.ticks(),
+            score,
+        });
+    }
+
+    /// Emits [`TraceEvent::ScanFinished`] with the settled stats and the
+    /// `"aep.scan"` timing.
+    fn finish<R: Recorder>(
+        self,
+        recorder: &mut R,
+        stats: &ScanStats,
+        best: Option<&(f64, Window)>,
+    ) {
+        recorder.emit(TraceEvent::ScanFinished {
+            policy: self.policy,
+            slots_admitted: stats.slots_admitted as u64,
+            slots_rejected: stats.slots_rejected as u64,
+            windows_evaluated: stats.windows_evaluated as u64,
+            peak_alive: stats.peak_extended_window as u64,
+            subtrees_skipped: stats.subtrees_skipped as u64,
+            windows_jumped: stats.windows_jumped as u64,
+            found: best.is_some(),
+            best_score: best.map_or(0.0, |(score, _)| *score),
+        });
+        recorder.time_ns("aep.scan", self.watch.elapsed_ns());
+    }
+}
+
 /// The regular pool-driven scan body shared by every non-first-fit policy.
 /// Returns the outcome plus the pool's `(superseded, expired)` eviction
 /// counts for the metrics layer.
@@ -538,18 +571,7 @@ fn pool_scan<R: Recorder>(
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
-    let watch = Stopwatch::start_if(recorder.enabled());
-    // The policy name is fetched (and allocated) once per scan, not once
-    // per emitted event — `pick` can fire thousands of events on long
-    // slot lists.
-    let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
-    if let Some(name) = &policy_name {
-        recorder.emit(TraceEvent::ScanStarted {
-            policy: name.clone(),
-            nodes_requested: n as u64,
-            slots_total: slots.len() as u64,
-        });
-    }
+    let trace = ScanTrace::start(recorder, policy, n, slots);
 
     let mut stream = ScanStream::for_scan(platform, slots, request, options);
     while let Some(slot) = stream.next() {
@@ -606,13 +628,8 @@ fn pool_scan<R: Recorder>(
             stats.windows_evaluated += 1;
             let improved = best.as_ref().is_none_or(|(s, _)| score < *s);
             if improved {
-                if let Some(name) = &policy_name {
-                    recorder.emit(TraceEvent::BestUpdated {
-                        policy: name.clone(),
-                        step: stats.slots_admitted as u64,
-                        window_start: window_start.ticks(),
-                        score,
-                    });
+                if let Some(trace) = &trace {
+                    trace.best_updated(recorder, stats.slots_admitted, window_start, score);
                 }
                 best = Some((score, window));
             }
@@ -624,21 +641,8 @@ fn pool_scan<R: Recorder>(
 
     stream.settle(&mut stats);
 
-    if let Some(name) = policy_name {
-        recorder.emit(TraceEvent::ScanFinished {
-            policy: name,
-            slots_admitted: stats.slots_admitted as u64,
-            slots_rejected: stats.slots_rejected as u64,
-            windows_evaluated: stats.windows_evaluated as u64,
-            peak_alive: stats.peak_extended_window as u64,
-            subtrees_skipped: stats.subtrees_skipped as u64,
-            windows_jumped: stats.windows_jumped as u64,
-            found: best.is_some(),
-            best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
-        });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
+    if let Some(trace) = trace {
+        trace.finish(recorder, &stats, best.as_ref());
     }
 
     let (superseded, expired) = pool.evictions();
@@ -688,15 +692,7 @@ fn first_fit_scan<R: Recorder, M: Metrics>(
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
-    let watch = Stopwatch::start_if(recorder.enabled());
-    let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
-    if let Some(name) = &policy_name {
-        recorder.emit(TraceEvent::ScanStarted {
-            policy: name.clone(),
-            nodes_requested: n as u64,
-            slots_total: slots.len() as u64,
-        });
-    }
+    let trace = ScanTrace::start(recorder, policy, n, slots);
 
     let mut stream = ScanStream::for_scan(platform, slots, request, options);
     while let Some(slot) = stream.next() {
@@ -776,13 +772,8 @@ fn first_fit_scan<R: Recorder, M: Metrics>(
         let window = crate::selectors::build_window(window_start, &alive, picked);
         let score = policy.score(&window);
         stats.windows_evaluated += 1;
-        if let Some(name) = &policy_name {
-            recorder.emit(TraceEvent::BestUpdated {
-                policy: name.clone(),
-                step: stats.slots_admitted as u64,
-                window_start: window_start.ticks(),
-                score,
-            });
+        if let Some(trace) = &trace {
+            trace.best_updated(recorder, stats.slots_admitted, window_start, score);
         }
         best = Some((score, window));
         break; // stop_at_first is part of the opt-in contract.
@@ -790,21 +781,8 @@ fn first_fit_scan<R: Recorder, M: Metrics>(
 
     stream.settle(&mut stats);
 
-    if let Some(name) = policy_name {
-        recorder.emit(TraceEvent::ScanFinished {
-            policy: name,
-            slots_admitted: stats.slots_admitted as u64,
-            slots_rejected: stats.slots_rejected as u64,
-            windows_evaluated: stats.windows_evaluated as u64,
-            peak_alive: stats.peak_extended_window as u64,
-            subtrees_skipped: stats.subtrees_skipped as u64,
-            windows_jumped: stats.windows_jumped as u64,
-            found: best.is_some(),
-            best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
-        });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
+    if let Some(trace) = trace {
+        trace.finish(recorder, &stats, best.as_ref());
     }
 
     (
@@ -856,15 +834,7 @@ fn random_scan<R: Recorder, M: Metrics>(
     let mut stats = ScanStats::default();
     let mut best: Option<(f64, Window)> = None;
 
-    let watch = Stopwatch::start_if(recorder.enabled());
-    let policy_name: Option<String> = recorder.enabled().then(|| policy.name().to_string());
-    if let Some(name) = &policy_name {
-        recorder.emit(TraceEvent::ScanStarted {
-            policy: name.clone(),
-            nodes_requested: n as u64,
-            slots_total: slots.len() as u64,
-        });
-    }
+    let trace = ScanTrace::start(recorder, policy, n, slots);
 
     let mut stream = ScanStream::for_scan(platform, slots, request, options);
     while let Some(slot) = stream.next() {
@@ -963,13 +933,8 @@ fn random_scan<R: Recorder, M: Metrics>(
         stats.windows_evaluated += 1;
         let improved = best.as_ref().is_none_or(|(s, _)| score < *s);
         if improved {
-            if let Some(name) = &policy_name {
-                recorder.emit(TraceEvent::BestUpdated {
-                    policy: name.clone(),
-                    step: stats.slots_admitted as u64,
-                    window_start: window_start.ticks(),
-                    score,
-                });
+            if let Some(trace) = &trace {
+                trace.best_updated(recorder, stats.slots_admitted, window_start, score);
             }
             best = Some((score, window));
         }
@@ -977,21 +942,8 @@ fn random_scan<R: Recorder, M: Metrics>(
 
     stream.settle(&mut stats);
 
-    if let Some(name) = policy_name {
-        recorder.emit(TraceEvent::ScanFinished {
-            policy: name,
-            slots_admitted: stats.slots_admitted as u64,
-            slots_rejected: stats.slots_rejected as u64,
-            windows_evaluated: stats.windows_evaluated as u64,
-            peak_alive: stats.peak_extended_window as u64,
-            subtrees_skipped: stats.subtrees_skipped as u64,
-            windows_jumped: stats.windows_jumped as u64,
-            found: best.is_some(),
-            best_score: best.as_ref().map_or(0.0, |(score, _)| *score),
-        });
-        if let Some(watch) = watch {
-            recorder.time_ns("aep.scan", watch.elapsed_ns());
-        }
+    if let Some(trace) = trace {
+        trace.finish(recorder, &stats, best.as_ref());
     }
 
     (
@@ -1012,6 +964,17 @@ mod tests {
     use crate::node::{NodeId, NodeSpec, Performance, Volume};
     use crate::selectors::cheapest_n;
     use crate::time::Interval;
+    use slotsel_obs::span::AttrValue;
+
+    fn scan_outcome(
+        platform: &Platform,
+        slots: &SlotList,
+        request: &ResourceRequest,
+        policy: &mut dyn SelectionPolicy,
+        options: ScanOptions,
+    ) -> ScanOutcome {
+        scan_probed(platform, slots, request, policy, options, Probes::none())
+    }
 
     /// A policy picking the cheapest n, scoring by an arbitrary criterion.
     struct CheapestBy {
@@ -1082,7 +1045,7 @@ mod tests {
             criterion: Criterion::MinTotalCost,
             first: false,
         };
-        let outcome = scan_with(
+        let outcome = scan_outcome(
             &p,
             &slots,
             &request(2, 100, 100_000),
@@ -1134,7 +1097,7 @@ mod tests {
             criterion: Criterion::MinTotalCost,
             first: false,
         };
-        let outcome = scan_with(
+        let outcome = scan_outcome(
             &p,
             &slots,
             &request(1, 100, 1_000),
@@ -1375,12 +1338,12 @@ mod tests {
             criterion: Criterion::EarliestFinish,
             first: false,
         };
-        let plain = scan_with(&p, &slots, &req, &mut a, ScanOptions::default());
+        let plain = scan_outcome(&p, &slots, &req, &mut a, ScanOptions::default());
         let mut b = CheapestBy {
             criterion: Criterion::EarliestFinish,
             first: false,
         };
-        let pruned = scan_with(
+        let pruned = scan_outcome(
             &p,
             &slots,
             &req,
@@ -1397,8 +1360,8 @@ mod tests {
     }
 
     #[test]
-    fn traced_scan_matches_untraced_and_reports_consistent_events() {
-        use slotsel_obs::MemoryRecorder;
+    fn probed_scan_matches_plain_and_feeds_every_sink() {
+        use slotsel_obs::{MemoryRecorder, MemorySpanSink, MetricsRegistry};
 
         let p = platform(&[2, 4, 8, 3]);
         let mut slots = full_slots(&p, 600);
@@ -1410,41 +1373,38 @@ mod tests {
             Money::from_units(1),
         );
         let req = request(2, 100, 100_000);
-
-        let mut plain_policy = CheapestBy {
+        let policy = || CheapestBy {
             criterion: Criterion::MinTotalCost,
             first: false,
         };
-        let plain = scan_with(&p, &slots, &req, &mut plain_policy, ScanOptions::default());
 
-        let mut traced_policy = CheapestBy {
-            criterion: Criterion::MinTotalCost,
-            first: false,
-        };
+        let plain = scan_outcome(&p, &slots, &req, &mut policy(), ScanOptions::default());
         let mut recorder = MemoryRecorder::new();
-        let traced = scan_traced(
+        let registry = MetricsRegistry::new();
+        let mut sink = MemorySpanSink::new();
+        let probed = scan_probed(
             &p,
             &slots,
             &req,
-            &mut traced_policy,
+            &mut policy(),
             ScanOptions::default(),
-            &mut recorder,
+            Probes::new(&mut recorder, &registry, &mut sink),
         );
 
         // Identical outcome with and without probes.
-        assert_eq!(plain.stats, traced.stats);
-        assert_eq!(
-            plain.best.as_ref().map(Window::total_cost),
-            traced.best.as_ref().map(Window::total_cost)
-        );
+        assert_eq!(plain.best, probed.best);
+        assert_eq!(plain.stats, probed.stats);
         assert_eq!(plain.stats.slots_rejected, 1);
+        let stats = &probed.stats;
 
-        // The emitted ScanFinished mirrors the returned stats.
+        // Recorder: ScanFinished mirrors the returned stats, one alive-set
+        // sample per admission, a timing for the scan, and scores that only
+        // ever improve across BestUpdated events.
         let finished = recorder
             .events()
             .iter()
             .find_map(|e| match e {
-                slotsel_obs::TraceEvent::ScanFinished {
+                TraceEvent::ScanFinished {
                     slots_admitted,
                     slots_rejected,
                     windows_evaluated,
@@ -1464,30 +1424,57 @@ mod tests {
         assert_eq!(
             finished,
             (
-                traced.stats.slots_admitted as u64,
-                traced.stats.slots_rejected as u64,
-                traced.stats.windows_evaluated as u64,
-                traced.stats.peak_extended_window as u64,
-                traced.best.is_some(),
+                stats.slots_admitted as u64,
+                stats.slots_rejected as u64,
+                stats.windows_evaluated as u64,
+                stats.peak_extended_window as u64,
+                probed.best.is_some(),
             )
         );
-        // One alive-set sample per admission; a timing for the scan.
         assert_eq!(
             recorder.samples("aep.alive").unwrap().count(),
-            traced.stats.slots_admitted as u64
+            stats.slots_admitted as u64
         );
         assert_eq!(recorder.timer("aep.scan").unwrap().count(), 1);
-        // Scores only ever improve across BestUpdated events.
         let scores: Vec<f64> = recorder
             .events()
             .iter()
             .filter_map(|e| match e {
-                slotsel_obs::TraceEvent::BestUpdated { score, .. } => Some(*score),
+                TraceEvent::BestUpdated { score, .. } => Some(*score),
                 _ => None,
             })
             .collect();
         assert!(!scores.is_empty());
         assert!(scores.windows(2).all(|w| w[1] < w[0]));
+
+        // Metrics and span attributes both carry every table counter.
+        let labels = [("policy", "cheapest-by")];
+        assert_eq!(registry.counter_value("slotsel_scan_total", &labels), 1);
+        assert_eq!(
+            registry.counter_value("slotsel_scan_windows_found_total", &labels),
+            1
+        );
+        for name in ["slotsel_scan_alive_peak", "slotsel_scan_seconds"] {
+            assert_eq!(registry.histogram(name, &labels).unwrap().count(), 1);
+        }
+        let records = sink.take_records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].name, "aep.scan");
+        let attr = |name: &str| {
+            records[0]
+                .attrs
+                .iter()
+                .find(|(key, _)| key == name)
+                .map(|(_, value)| value.clone())
+                .unwrap_or_else(|| panic!("missing attr {name}"))
+        };
+        assert_eq!(attr("policy"), AttrValue::Str("cheapest-by".to_owned()));
+        assert_eq!(attr("found"), AttrValue::U64(1));
+        for (field, counter, name) in SCAN_COUNTERS {
+            let value = field(stats) as u64;
+            assert_eq!(registry.counter_value(counter, &labels), value, "{counter}");
+            assert_eq!(attr(name), AttrValue::U64(value), "{name}");
+        }
     }
 
     #[test]
@@ -1556,7 +1543,7 @@ mod tests {
             criterion: Criterion::MinTotalCost,
             first: false,
         };
-        let outcome = scan_with(
+        let outcome = scan_outcome(
             &p,
             &list,
             &request(1, 1_000, 100_000),
@@ -1599,7 +1586,7 @@ mod tests {
                 criterion: Criterion::MinTotalCost,
                 first: false,
             };
-            scan_with(&p, list, &req, &mut policy, ScanOptions::default())
+            scan_outcome(&p, list, &req, &mut policy, ScanOptions::default())
         };
         let on_vec = run(&vec_list);
         let on_tree = run(&tree_list);
@@ -1611,61 +1598,5 @@ mod tests {
         assert_eq!(on_vec.stats.subtrees_skipped, 0);
         assert_eq!(on_vec.stats.windows_jumped, 0);
         assert!(on_tree.stats.windows_jumped >= 1);
-    }
-
-    #[test]
-    fn spanned_scan_with_disabled_sink_matches_metered_bit_for_bit() {
-        use slotsel_obs::{MemorySpanSink, NoopSpanSink};
-        let p = platform(&[2, 4, 8, 3]);
-        let slots = full_slots(&p, 600);
-        let req = request(2, 120, 100_000);
-        let run = |spans: &mut dyn SpanSink| {
-            let mut policy = CheapestBy {
-                criterion: Criterion::MinTotalCost,
-                first: false,
-            };
-            scan_spanned(
-                &p,
-                &slots,
-                &req,
-                &mut policy,
-                ScanOptions::default(),
-                &mut NoopRecorder,
-                &NoopMetrics,
-                spans,
-            )
-        };
-        let mut policy = CheapestBy {
-            criterion: Criterion::MinTotalCost,
-            first: false,
-        };
-        let metered = scan_metered(
-            &p,
-            &slots,
-            &req,
-            &mut policy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &NoopMetrics,
-        );
-        let noop = run(&mut NoopSpanSink);
-        assert_eq!(noop.best, metered.best);
-        assert_eq!(noop.stats, metered.stats);
-
-        // An enabled sink changes nothing about the outcome and records
-        // exactly one "aep.scan" span carrying the scan tallies.
-        let mut sink = MemorySpanSink::new();
-        let spanned = run(&mut sink);
-        assert_eq!(spanned.best, metered.best);
-        assert_eq!(spanned.stats, metered.stats);
-        let records = sink.take_records();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].name, "aep.scan");
-        for attr in ["policy", "slots_admitted", "windows_evaluated", "found"] {
-            assert!(
-                records[0].attrs.iter().any(|(name, _)| name == attr),
-                "missing attr {attr}"
-            );
-        }
     }
 }

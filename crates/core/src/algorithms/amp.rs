@@ -1,8 +1,8 @@
 //! AMP — the earliest-start-time algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::DynProbes;
 
-use crate::aep::{scan, scan_metered, scan_spanned, ScanOptions, SelectionPolicy};
+use crate::aep::{scan, scan_probed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -62,7 +62,7 @@ impl Amp {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly.
+    /// [`crate::aep::scan_probed`] or the reference scan directly.
     #[must_use]
     pub fn policy(&self) -> impl SelectionPolicy {
         AmpPolicy
@@ -124,42 +124,20 @@ impl SlotSelector for Amp {
         scan(platform, slots, request, &mut AmpPolicy)
     }
 
-    fn select_metered(
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
-        scan_metered(
+        scan_probed(
             platform,
             slots,
             request,
             &mut AmpPolicy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut AmpPolicy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            probes,
         )
         .best
     }

@@ -1,8 +1,8 @@
 //! MinCost — the minimum-total-allocation-cost algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::DynProbes;
 
-use crate::aep::{scan, scan_metered, scan_spanned, ScanOptions, SelectionPolicy};
+use crate::aep::{scan, scan_probed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -36,7 +36,7 @@ impl MinCost {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly.
+    /// [`crate::aep::scan_probed`] or the reference scan directly.
     #[must_use]
     pub fn policy(&self) -> impl SelectionPolicy {
         MinCostPolicy
@@ -87,42 +87,20 @@ impl SlotSelector for MinCost {
         scan(platform, slots, request, &mut MinCostPolicy)
     }
 
-    fn select_metered(
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
-        scan_metered(
+        scan_probed(
             platform,
             slots,
             request,
             &mut MinCostPolicy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut MinCostPolicy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            probes,
         )
         .best
     }

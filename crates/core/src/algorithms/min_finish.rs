@@ -1,8 +1,8 @@
 //! MinFinish — the earliest-finish-time algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::{DynProbes, Metrics, Probes, Recorder, SpanSink};
 
-use crate::aep::{scan_metered, scan_spanned, scan_with, ScanOptions, SelectionPolicy};
+use crate::aep::{scan_probed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -72,7 +72,7 @@ impl MinFinish {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly. Pruning
+    /// [`crate::aep::scan_probed`] or the reference scan directly. Pruning
     /// is a scan option, not part of the policy; pass it via
     /// [`ScanOptions`].
     #[must_use]
@@ -80,6 +80,23 @@ impl MinFinish {
         MinFinishPolicy {
             selection: self.selection,
         }
+    }
+
+    /// The scan behind both [`SlotSelector`] entry points.
+    fn scan<R: Recorder, M: Metrics, S: SpanSink>(
+        &self,
+        platform: &Platform,
+        slots: &SlotList,
+        request: &ResourceRequest,
+        probes: Probes<R, M, S>,
+    ) -> Option<Window> {
+        let mut policy = MinFinishPolicy {
+            selection: self.selection,
+        };
+        let options = ScanOptions {
+            prune_start_bounded: self.prune,
+        };
+        scan_probed(platform, slots, request, &mut policy, options, probes).best
     }
 }
 
@@ -140,65 +157,17 @@ impl SlotSelector for MinFinish {
         slots: &SlotList,
         request: &ResourceRequest,
     ) -> Option<Window> {
-        let mut policy = MinFinishPolicy {
-            selection: self.selection,
-        };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_with(platform, slots, request, &mut policy, options).best
+        self.scan(platform, slots, request, Probes::none())
     }
 
-    fn select_metered(
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
-        let mut policy = MinFinishPolicy {
-            selection: self.selection,
-        };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_metered(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            options,
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let mut policy = MinFinishPolicy {
-            selection: self.selection,
-        };
-        let options = ScanOptions {
-            prune_start_bounded: self.prune,
-        };
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            options,
-            &mut NoopRecorder,
-            &metrics,
-            spans,
-        )
-        .best
+        self.scan(platform, slots, request, probes)
     }
 }
 

@@ -1,8 +1,8 @@
 //! MinProcTime — the simplified minimum-total-processor-time algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::DynProbes;
 
-use crate::aep::{scan, scan_metered, scan_spanned, RandomPick, ScanOptions, SelectionPolicy};
+use crate::aep::{scan, scan_probed, RandomPick, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -73,7 +73,7 @@ impl MinProcTime {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly. The
+    /// [`crate::aep::scan_probed`] or the reference scan directly. The
     /// policy borrows (and advances) this algorithm's generator.
     #[must_use]
     pub fn policy(&mut self) -> impl SelectionPolicy + '_ {
@@ -164,50 +164,24 @@ impl SlotSelector for MinProcTime {
         scan(platform, slots, request, &mut policy)
     }
 
-    fn select_metered(
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
         let mut policy = MinProcTimePolicy {
             rng: &mut self.rng,
             attempts: self.attempts,
         };
-        scan_metered(
+        scan_probed(
             platform,
             slots,
             request,
             &mut policy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let mut policy = MinProcTimePolicy {
-            rng: &mut self.rng,
-            attempts: self.attempts,
-        };
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            probes,
         )
         .best
     }

@@ -1,8 +1,8 @@
 //! MinRunTime — the minimum-execution-runtime algorithm.
 
-use slotsel_obs::{Metrics, NoopRecorder, SpanSink};
+use slotsel_obs::DynProbes;
 
-use crate::aep::{scan, scan_metered, scan_spanned, ScanOptions, SelectionPolicy};
+use crate::aep::{scan, scan_probed, ScanOptions, SelectionPolicy};
 use crate::node::Platform;
 use crate::pool::CandidatePool;
 use crate::request::ResourceRequest;
@@ -51,7 +51,7 @@ impl MinRunTime {
     }
 
     /// The scan policy behind [`select`](SlotSelector::select), for driving
-    /// [`crate::aep::scan_traced`] or the reference scan directly.
+    /// [`crate::aep::scan_probed`] or the reference scan directly.
     #[must_use]
     pub fn policy(&self) -> impl SelectionPolicy {
         MinRuntimePolicy {
@@ -123,48 +123,23 @@ impl SlotSelector for MinRunTime {
         scan(platform, slots, request, &mut policy)
     }
 
-    fn select_metered(
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
         let mut policy = MinRuntimePolicy {
             selection: self.selection,
         };
-        scan_metered(
+        scan_probed(
             platform,
             slots,
             request,
             &mut policy,
             ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-        )
-        .best
-    }
-
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let mut policy = MinRuntimePolicy {
-            selection: self.selection,
-        };
-        scan_spanned(
-            platform,
-            slots,
-            request,
-            &mut policy,
-            ScanOptions::default(),
-            &mut NoopRecorder,
-            &metrics,
-            spans,
+            probes,
         )
         .best
     }

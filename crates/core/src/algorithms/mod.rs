@@ -57,7 +57,7 @@ pub use min_finish::MinFinish;
 pub use min_proc_time::MinProcTime;
 pub use min_runtime::MinRunTime;
 
-use slotsel_obs::{Metrics, SpanSink};
+use slotsel_obs::DynProbes;
 
 use crate::node::Platform;
 use crate::request::ResourceRequest;
@@ -81,48 +81,26 @@ pub trait SlotSelector {
         request: &ResourceRequest,
     ) -> Option<Window>;
 
-    /// Like [`select`](SlotSelector::select), recording live metrics into
-    /// `metrics` along the way.
+    /// Like [`select`](SlotSelector::select), reporting to the metrics and
+    /// span sinks of `probes` along the way.
     ///
-    /// The default implementation ignores the sink and delegates to
+    /// The default implementation ignores the sinks and delegates to
     /// `select`, so external implementations keep working unchanged; the
     /// built-in AEP algorithms override it to drive
-    /// [`crate::aep::scan_metered`]. The sink is a `&dyn` reference so the
-    /// trait stays object-safe — the scan's per-slot probes are still
-    /// gated on one [`Metrics::enabled`] call per scan, which keeps the
-    /// virtual dispatch off the hot loop.
-    fn select_metered(
+    /// [`crate::aep::scan_probed`], which wraps the scan in an `"aep.scan"`
+    /// span. The sinks sit behind trait objects so the trait stays
+    /// object-safe; each is checked once per scan, which keeps the virtual
+    /// dispatch off the hot loop, and [`DynProbes`] carries no recorder
+    /// for the same reason.
+    fn select_probed(
         &mut self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
-        metrics: &dyn Metrics,
+        probes: DynProbes<'_>,
     ) -> Option<Window> {
-        let _ = metrics;
+        let _ = probes;
         self.select(platform, slots, request)
-    }
-
-    /// Like [`select_metered`](SlotSelector::select_metered), additionally
-    /// wrapping the scan in an `"aep.scan"` span on `spans`.
-    ///
-    /// The default implementation ignores the span sink and delegates to
-    /// `select_metered`, so external implementations keep working
-    /// unchanged; the built-in AEP algorithms override it to drive
-    /// [`crate::aep::scan_spanned`]. Like the metrics sink, `spans` is a
-    /// `&mut dyn` reference for object safety — one
-    /// [`SpanSink::enabled`] check per scan keeps the dispatch off the
-    /// hot loop, and with a disabled sink the spanned path is exactly the
-    /// metered one.
-    fn select_spanned(
-        &mut self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
-    ) -> Option<Window> {
-        let _ = spans;
-        self.select_metered(platform, slots, request, metrics)
     }
 }
 

@@ -45,7 +45,7 @@
 //! # }
 //! ```
 
-use slotsel_obs::{Metrics, SpanSink};
+use slotsel_obs::{DynProbes, NoopRecorder, Probes};
 
 use crate::algorithms::{Amp, SlotSelector};
 use crate::node::Platform;
@@ -144,101 +144,49 @@ impl Csa {
         slots: &SlotList,
         request: &ResourceRequest,
     ) -> Vec<Window> {
-        self.find_alternatives_with(platform, slots, request, &mut Amp)
+        self.find_alternatives_probed(platform, slots, request, &mut Amp, Probes::none().as_dyn())
     }
 
-    /// Generalised multi-alternative search: like
-    /// [`find_alternatives`](Self::find_alternatives) but carving windows
-    /// with an arbitrary base algorithm instead of AMP — e.g. repeated
-    /// `MinCost` yields a set of *cheapest* disjoint alternatives, repeated
-    /// `MinRunTime` a set of *fastest* ones. An extension of the paper's
-    /// CSA ("Common Stats, AMP"), which is recovered with `&mut Amp`.
+    /// Generalised multi-alternative search with observability probes:
+    /// like [`find_alternatives`](Self::find_alternatives) but carving
+    /// windows with an arbitrary base algorithm instead of AMP — e.g.
+    /// repeated `MinCost` yields a set of *cheapest* disjoint
+    /// alternatives, repeated `MinRunTime` a set of *fastest* ones. An
+    /// extension of the paper's CSA ("Common Stats, AMP"), which is
+    /// recovered with `&mut Amp`.
     ///
     /// Discovery order follows the base algorithm's criterion, not start
     /// time; disjointness by slots is preserved regardless.
-    #[must_use]
-    pub fn find_alternatives_with(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        base: &mut dyn SlotSelector,
-    ) -> Vec<Window> {
-        let mut working = slots.clone();
-        let mut found = Vec::new();
-        let limit = self.max_alternatives.unwrap_or(usize::MAX);
-
-        while found.len() < limit {
-            let Some(window) = base.select(platform, &working, request) else {
-                break;
-            };
-            self.apply_cut(&mut working, request, &window)
-                .expect("window was built from slots of the working list");
-            found.push(window);
-        }
-        found
-    }
-
-    /// Like [`find_alternatives_with`](Self::find_alternatives_with), but
-    /// threading a live-metrics sink into every underlying scan via
-    /// [`SlotSelector::select_metered`], and counting the produced
-    /// alternatives in `slotsel_csa_alternatives_total`.
-    #[must_use]
-    pub fn find_alternatives_metered(
-        &self,
-        platform: &Platform,
-        slots: &SlotList,
-        request: &ResourceRequest,
-        base: &mut dyn SlotSelector,
-        metrics: &dyn Metrics,
-    ) -> Vec<Window> {
-        let mut working = slots.clone();
-        let mut found = Vec::new();
-        let limit = self.max_alternatives.unwrap_or(usize::MAX);
-
-        while found.len() < limit {
-            let Some(window) = base.select_metered(platform, &working, request, metrics) else {
-                break;
-            };
-            self.apply_cut(&mut working, request, &window)
-                .expect("window was built from slots of the working list");
-            found.push(window);
-        }
-        if metrics.enabled() {
-            metrics.counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
-        }
-        found
-    }
-
-    /// Like [`find_alternatives_metered`](Self::find_alternatives_metered),
-    /// additionally wrapping the whole search in a `"csa.search"` span and
-    /// each underlying scan in its own `"aep.scan"` child (via
-    /// [`SlotSelector::select_spanned`]). The span carries the base
-    /// algorithm's name and the alternative count.
     ///
-    /// With a disabled sink this takes the metered path verbatim — same
-    /// windows, same metrics, no span bookkeeping.
+    /// Every underlying scan reports to `probes` via
+    /// [`SlotSelector::select_probed`]. With live sinks the search also
+    /// counts its alternatives in `slotsel_csa_alternatives_total` and
+    /// runs inside a `"csa.search"` span (one `"aep.scan"` child per run)
+    /// carrying the base algorithm's name and the alternative count.
     #[must_use]
-    pub fn find_alternatives_spanned(
+    pub fn find_alternatives_probed(
         &self,
         platform: &Platform,
         slots: &SlotList,
         request: &ResourceRequest,
         base: &mut dyn SlotSelector,
-        metrics: &dyn Metrics,
-        spans: &mut dyn SpanSink,
+        probes: DynProbes<'_>,
     ) -> Vec<Window> {
-        if !spans.enabled() {
-            return self.find_alternatives_metered(platform, slots, request, base, metrics);
-        }
-        let span = spans.open("csa.search");
+        let Probes { metrics, spans, .. } = probes;
+        let span = spans.enabled().then(|| spans.open("csa.search"));
         let mut working = slots.clone();
         let mut found = Vec::new();
         let limit = self.max_alternatives.unwrap_or(usize::MAX);
 
         while found.len() < limit {
-            let Some(window) = base.select_spanned(platform, &working, request, metrics, spans)
-            else {
+            // Spelled out so the sink's trait-object lifetime shortens to
+            // this iteration's reborrow.
+            let probes: DynProbes<'_> = Probes {
+                recorder: NoopRecorder,
+                metrics,
+                spans: &mut *spans,
+            };
+            let Some(window) = base.select_probed(platform, &working, request, probes) else {
                 break;
             };
             self.apply_cut(&mut working, request, &window)
@@ -248,9 +196,11 @@ impl Csa {
         if metrics.enabled() {
             metrics.counter_add("slotsel_csa_alternatives_total", &[], found.len() as u64);
         }
-        spans.attr_str("base", base.name());
-        spans.attr_u64("alternatives", found.len() as u64);
-        spans.close(span);
+        if let Some(span) = span {
+            spans.attr_str("base", base.name());
+            spans.attr_u64("alternatives", found.len() as u64);
+            spans.close(span);
+        }
         found
     }
 
@@ -601,10 +551,13 @@ mod tests {
         let p = platform(&[(2, 1.0), (5, 9.0), (7, 3.0), (3, 2.0), (9, 8.0), (4, 4.0)]);
         let slots = idle(&p, 600);
         let req = request(2, 200, 100_000.0);
-        let alts =
-            Csa::new()
-                .max_alternatives(4)
-                .find_alternatives_with(&p, &slots, &req, &mut MinCost);
+        let alts = Csa::new().max_alternatives(4).find_alternatives_probed(
+            &p,
+            &slots,
+            &req,
+            &mut MinCost,
+            Probes::none().as_dyn(),
+        );
         assert!(alts.len() >= 2);
         for pair in alts.windows(2) {
             assert!(
@@ -620,13 +573,46 @@ mod tests {
     }
 
     #[test]
-    fn generalised_search_with_amp_matches_plain_csa() {
+    fn probed_search_matches_plain_and_feeds_every_sink() {
+        use slotsel_obs::span::AttrValue;
+        use slotsel_obs::{MemorySpanSink, MetricsRegistry};
+
         let p = platform(&[(2, 1.3), (3, 2.9), (5, 5.1), (7, 6.8)]);
         let slots = idle(&p, 600);
         let req = request(2, 180, 100_000.0);
         let plain = Csa::new().find_alternatives(&p, &slots, &req);
-        let explicit = Csa::new().find_alternatives_with(&p, &slots, &req, &mut Amp);
-        assert_eq!(plain, explicit);
+        let registry = MetricsRegistry::new();
+        let mut sink = MemorySpanSink::new();
+        let mut probes = Probes::new(NoopRecorder, &registry, &mut sink);
+        let probed =
+            Csa::new().find_alternatives_probed(&p, &slots, &req, &mut Amp, probes.as_dyn());
+        assert_eq!(plain, probed);
+        assert!(plain.len() > 1);
+
+        // One AMP scan per alternative plus the final, empty one.
+        let scans = plain.len() as u64 + 1;
+        assert_eq!(
+            registry.counter_value("slotsel_csa_alternatives_total", &[]),
+            plain.len() as u64
+        );
+        assert_eq!(
+            registry.counter_value("slotsel_scan_total", &[("policy", "AMP")]),
+            scans
+        );
+        let records = sink.take_records();
+        assert_eq!(records[0].name, "csa.search");
+        assert!(records[0]
+            .attrs
+            .contains(&("base".to_owned(), AttrValue::Str("AMP".to_owned()))));
+        assert!(records[0].attrs.contains(&(
+            "alternatives".to_owned(),
+            AttrValue::U64(plain.len() as u64)
+        )));
+        let children = &records[1..];
+        assert_eq!(children.len() as u64, scans);
+        assert!(children
+            .iter()
+            .all(|r| r.name == "aep.scan" && r.parent == records[0].id));
     }
 
     #[test]

@@ -119,10 +119,7 @@ pub mod validate;
 pub mod window;
 
 pub use additive::{CostScore, MaxAdditive, MinAdditive, ProcTimeScore, SlotScore, WeightedScore};
-pub use aep::{
-    scan, scan_metered, scan_traced, scan_with, ScanOptions, ScanOutcome, ScanStats,
-    SelectionPolicy,
-};
+pub use aep::{scan, scan_probed, ScanOptions, ScanOutcome, ScanStats, SelectionPolicy};
 pub use algorithms::{Amp, MinCost, MinFinish, MinProcTime, MinRunTime, SlotSelector};
 pub use criteria::{best_by, Criterion, WindowCriterion};
 pub use csa::{Alternatives, Csa, CutPolicy};

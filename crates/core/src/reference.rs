@@ -1,7 +1,7 @@
 //! The historical sort-per-step AEP scan, retained as a correctness oracle
 //! and benchmark baseline.
 //!
-//! [`crate::aep::scan_traced`] now runs the extended window through the
+//! [`crate::aep::scan_probed`] now runs the extended window through the
 //! incremental [`CandidatePool`](crate::pool::CandidatePool), which keeps
 //! the candidates sorted across steps. This module preserves the previous
 //! formulation — an insertion-ordered `Vec<Candidate>` pruned with `retain`
@@ -62,7 +62,7 @@ pub fn reference_scan_with(
 /// The sort-per-step reference scan with observability probes.
 ///
 /// Behaviour, statistics and emitted events are identical to
-/// [`crate::aep::scan_traced`]; only the complexity differs. Policies are
+/// [`crate::aep::scan_probed`]; only the complexity differs. Policies are
 /// driven through their slice-based [`SelectionPolicy::pick`], which is
 /// where the per-step `O(m' log m')` re-sorting lives.
 #[must_use]

@@ -9,7 +9,7 @@
 //! as a plain `#[test]` — no generator state required.
 //!
 //! The replay hooks run the scenario through both scan formulations (the
-//! incremental-pool [`crate::aep::scan_with`] and the sort-per-step
+//! incremental-pool [`crate::aep::scan_probed`] and the sort-per-step
 //! [`crate::reference::reference_scan_with`]), which are required to be
 //! pick-for-pick identical.
 //!
@@ -51,8 +51,9 @@
 //! ```
 
 use serde::{Deserialize, Serialize};
+use slotsel_obs::Probes;
 
-use crate::aep::{scan_with, ScanOptions, ScanOutcome, SelectionPolicy};
+use crate::aep::{scan_probed, ScanOptions, ScanOutcome, SelectionPolicy};
 use crate::node::Platform;
 use crate::reference::reference_scan_with;
 use crate::request::ResourceRequest;
@@ -107,12 +108,13 @@ impl Scenario {
     /// Replays the scenario through the incremental-pool AEP scan.
     #[must_use]
     pub fn scan_pool(&self, policy: &mut dyn SelectionPolicy) -> ScanOutcome {
-        scan_with(
+        scan_probed(
             &self.platform,
             &self.slots,
             &self.request,
             policy,
             ScanOptions::default(),
+            Probes::none(),
         )
     }
 

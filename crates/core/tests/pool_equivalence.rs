@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 
-use slotsel_core::aep::{scan_traced, ScanOptions, ScanOutcome, SelectionPolicy};
+use slotsel_core::aep::{scan_probed, ScanOptions, ScanOutcome, SelectionPolicy};
 use slotsel_core::algorithms::{
     Amp, MinCost, MinFinish, MinProcTime, MinRunTime, RuntimeSelection,
 };
@@ -19,7 +19,7 @@ use slotsel_core::selectors::{self, Candidate};
 use slotsel_core::slot::{Slot, SlotId};
 use slotsel_core::slotlist::SlotList;
 use slotsel_core::time::{Interval, TimeDelta, TimePoint};
-use slotsel_obs::MemoryRecorder;
+use slotsel_obs::{MemoryRecorder, NoopMetrics, NoopSpanSink, Probes};
 
 /// A randomized scan environment: platform, slot list and request.
 #[derive(Debug, Clone)]
@@ -106,13 +106,13 @@ fn assert_scans_agree(
     reference_policy: &mut dyn SelectionPolicy,
 ) -> Result<(), TestCaseError> {
     let mut pool_rec = MemoryRecorder::new();
-    let pool: ScanOutcome = scan_traced(
+    let pool: ScanOutcome = scan_probed(
         &env.platform,
         &env.slots,
         &env.request,
         pool_policy,
         options,
-        &mut pool_rec,
+        Probes::new(&mut pool_rec, NoopMetrics, NoopSpanSink),
     );
     let mut ref_rec = MemoryRecorder::new();
     let reference: ScanOutcome = reference_scan_traced(

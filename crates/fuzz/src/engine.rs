@@ -28,7 +28,7 @@ use serde::{Deserialize, Serialize};
 
 use slotsel_baselines::oracle::{exhaustive_best_checked, is_additive, subset_space};
 use slotsel_baselines::{bnb_best, OracleTooLarge};
-use slotsel_core::aep::{scan_traced, ScanOptions, ScanOutcome, SelectionPolicy};
+use slotsel_core::aep::{scan_probed, ScanOptions, ScanOutcome, SelectionPolicy};
 use slotsel_core::algorithms::{
     Amp, MinCost, MinFinish, MinProcTime, MinRunTime, RuntimeSelection,
 };
@@ -520,18 +520,18 @@ fn traced_scan_over(
     seed: u64,
     side: ScanSide,
 ) -> (ScanOutcome, Vec<String>, (u64, f64)) {
-    use slotsel_obs::{MemoryRecorder, TraceEvent};
+    use slotsel_obs::{MemoryRecorder, NoopMetrics, NoopSpanSink, Probes, TraceEvent};
 
     let mut recorder = MemoryRecorder::new();
     let outcome = {
         let mut run = |policy: &mut dyn SelectionPolicy| match side {
-            ScanSide::Pool => scan_traced(
+            ScanSide::Pool => scan_probed(
                 &scenario.platform,
                 slots,
                 &scenario.request,
                 policy,
                 ScanOptions::default(),
-                &mut recorder,
+                Probes::new(&mut recorder, NoopMetrics, NoopSpanSink),
             ),
             ScanSide::Reference => reference_scan_traced(
                 &scenario.platform,

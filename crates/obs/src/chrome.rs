@@ -347,13 +347,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (the input came in as &str, so
-                // boundaries are sound).
-                let rest =
-                    std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid UTF-8".to_owned())?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or backslash in
+                // one step. The input came in as &str and both stop bytes
+                // are ASCII, so the run ends on a char boundary.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| "invalid UTF-8".to_owned())?;
+                out.push_str(run);
             }
         }
     }
@@ -555,6 +558,32 @@ mod tests {
                 .as_f64(),
             Some(1.0)
         );
+    }
+
+    #[test]
+    fn strings_round_trip_multibyte_utf8_and_escapes() {
+        let note = "caf\u{e9} \u{6f22} \u{1f680} \"quoted\" back\\slash/\nline\ttab\u{1}";
+        let mut sink = MemorySpanSink::new();
+        let id = sink.open("serve.cycle");
+        sink.attr_str("note", note);
+        sink.close(id);
+        let text = render(&[(0, &sink.take_records())]);
+        let document = parse(&text).unwrap();
+        let events = document.get("traceEvents").unwrap().as_array().unwrap();
+        let span = events
+            .iter()
+            .find(|e| e.get("name").and_then(Value::as_str) == Some("serve.cycle"))
+            .expect("span present");
+        let args = span.get("args").unwrap();
+        assert_eq!(args.get("note").unwrap().as_str(), Some(note));
+
+        // Hand-written escapes, including \u and multi-byte runs on both
+        // sides of them, decode to the same text.
+        let value = parse(r#"["\u00e9\u6f22 \ud83d x", "é漢🚀\"\\\/\b\f\n\r\t"]"#).unwrap();
+        let items = value.as_array().unwrap();
+        assert_eq!(items[1].as_str(), Some("é漢🚀\"\\/\u{8}\u{c}\n\r\t"));
+        assert_eq!(items[0].as_str(), Some("é漢 \u{fffd} x"));
+        assert!(parse(r#"["unterminated é"#).is_err());
     }
 
     #[test]

@@ -37,6 +37,9 @@
 //!   [`span::FlightRecorder`] ring buffer retaining the last N cycles'
 //!   span trees, and a Chrome trace-event JSON exporter + validator
 //!   loadable in Perfetto / `about://tracing`;
+//! - [`probes`] — the [`probes::Probes`] bundle of one recorder, one
+//!   metrics sink and one span sink that every layer's single probed
+//!   entry point takes;
 //! - [`read`] — streaming trace reader for report tooling;
 //! - [`json`] — the minimal deterministic JSON writer/parser underneath
 //!   (this crate sits *below* `slotsel-core` and carries no
@@ -77,6 +80,7 @@ pub mod http;
 pub mod journal;
 pub mod json;
 pub mod metrics;
+pub mod probes;
 pub mod read;
 pub mod recorder;
 pub mod span;
@@ -90,6 +94,7 @@ pub use journal::{
     SnapshotStore, WalJournal,
 };
 pub use metrics::{Metrics, MetricsRegistry, NoopMetrics};
+pub use probes::{DynProbes, Probes};
 pub use read::{read_trace, TraceReader};
 pub use recorder::{MemoryRecorder, NoopRecorder, Recorder, TraceRecorder};
 pub use span::{

@@ -65,9 +65,8 @@ pub use parallel::Parallelism;
 pub use quality::QualityResults;
 pub use recovery::RecoveryPolicy;
 pub use rolling::{
-    resume_with_recovery_journaled, simulate, simulate_with_recovery,
-    simulate_with_recovery_journaled, simulate_with_recovery_metered,
-    simulate_with_recovery_traced, RollingConfig, RollingOutcome, RollingReport,
+    resume_with_recovery, simulate, simulate_with_recovery, simulate_with_recovery_probed,
+    RollingConfig, RollingOutcome, RollingReport,
 };
 pub use scaling::{ScalingConfig, ScalingPoint};
 pub use serve::{

@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use slotsel_obs::{NoopRecorder, Recorder, SpanSink, TraceEvent};
+use slotsel_obs::{Metrics, Probes, Recorder, SpanSink, TraceEvent};
 
 use slotsel_core::money::Money;
 use slotsel_core::node::Platform;
@@ -94,21 +94,28 @@ pub fn stretched(platform: &Platform, job: &Job, window: &Window) -> Window {
 /// stretched edge colliding with an earlier survivor) the window is a
 /// victim. The returned survivor set always passes the joint audit.
 ///
-/// Equivalent to [`detect_victims_traced`] with a [`NoopRecorder`].
+/// Equivalent to [`detect_victims_probed`] with [`Probes::none`].
 #[must_use]
 pub fn detect_victims(env: &Environment, committed: &[(&Job, &Window)]) -> VictimReport {
-    detect_victims_traced(env, committed, &mut NoopRecorder)
+    detect_victims_probed(env, committed, Probes::none())
 }
 
 /// [`detect_victims`] with observability probes: every committed window's
-/// replay verdict is reported to `recorder` as a
-/// [`TraceEvent::WindowAudited`], in commit order.
+/// replay verdict is reported to the recorder as a
+/// [`TraceEvent::WindowAudited`], in commit order, and the detection runs
+/// inside a `"recovery.detect"` span carrying the audited/victim counts.
 #[must_use]
-pub fn detect_victims_traced<R: Recorder>(
+pub fn detect_victims_probed<R: Recorder, M: Metrics, S: SpanSink>(
     env: &Environment,
     committed: &[(&Job, &Window)],
-    recorder: &mut R,
+    probes: Probes<R, M, S>,
 ) -> VictimReport {
+    let Probes {
+        mut recorder,
+        mut spans,
+        ..
+    } = probes;
+    let span = spans.enabled().then(|| spans.open("recovery.detect"));
     let mut report = VictimReport {
         survivor_indices: Vec::new(),
         victim_indices: Vec::new(),
@@ -132,27 +139,11 @@ pub fn detect_victims_traced<R: Recorder>(
             });
         }
     }
-    report
-}
-
-/// [`detect_victims_traced`] wrapped in a `"recovery.detect"` span
-/// carrying the audited/victim counts. With a disabled sink this is the
-/// traced detection verbatim.
-#[must_use]
-pub fn detect_victims_spanned<R: Recorder, S: SpanSink + ?Sized>(
-    env: &Environment,
-    committed: &[(&Job, &Window)],
-    recorder: &mut R,
-    spans: &mut S,
-) -> VictimReport {
-    if !spans.enabled() {
-        return detect_victims_traced(env, committed, recorder);
+    if let Some(span) = span {
+        spans.attr_u64("windows", committed.len() as u64);
+        spans.attr_u64("victims", report.victim_indices.len() as u64);
+        spans.close(span);
     }
-    let span = spans.open("recovery.detect");
-    let report = detect_victims_traced(env, committed, recorder);
-    spans.attr_u64("windows", committed.len() as u64);
-    spans.attr_u64("victims", report.victim_indices.len() as u64);
-    spans.close(span);
     report
 }
 
@@ -271,6 +262,62 @@ mod tests {
         let report = detect_victims(&e, &pairs);
         assert_eq!(report.survivor_indices.len(), committed.len());
         assert!(report.victim_indices.is_empty());
+    }
+
+    #[test]
+    fn probed_detection_matches_plain_and_feeds_every_sink() {
+        use slotsel_obs::span::AttrValue;
+        use slotsel_obs::{MemoryRecorder, MemorySpanSink, MetricsRegistry};
+
+        let e0 = env(3);
+        let jobs: Vec<Job> = (0..3).map(|i| job(i, 2, 150)).collect();
+        let committed = commit(&e0, &jobs);
+        let (_, window) = &committed[0];
+        let mut e = e0.clone();
+        e.revoke(
+            window.slots()[0].node(),
+            Interval::with_length(window.start(), window.runtime()),
+        );
+        let pairs: Vec<(&Job, &Window)> = committed.iter().map(|(j, w)| (j, w)).collect();
+        let plain = detect_victims(&e, &pairs);
+        let mut recorder = MemoryRecorder::new();
+        let registry = MetricsRegistry::new();
+        let mut sink = MemorySpanSink::new();
+        let probed =
+            detect_victims_probed(&e, &pairs, Probes::new(&mut recorder, &registry, &mut sink));
+        assert_eq!(plain.survivor_indices, probed.survivor_indices);
+        assert_eq!(plain.victim_indices, probed.victim_indices);
+        assert_eq!(plain.survivor_windows, probed.survivor_windows);
+        assert!(!plain.victim_indices.is_empty());
+
+        // One verdict per committed window, in commit order.
+        let verdicts: Vec<(u64, bool)> = recorder
+            .events()
+            .iter()
+            .filter_map(|event| match event {
+                TraceEvent::WindowAudited { job, survived } => Some((*job, *survived)),
+                _ => None,
+            })
+            .collect();
+        let expected: Vec<(u64, bool)> = committed
+            .iter()
+            .enumerate()
+            .map(|(i, (j, _))| (u64::from(j.id().0), plain.survivor_indices.contains(&i)))
+            .collect();
+        assert_eq!(verdicts, expected);
+        let records = sink.take_records();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].name, "recovery.detect");
+        assert_eq!(
+            records[0].attrs,
+            [
+                ("windows".to_owned(), AttrValue::U64(committed.len() as u64)),
+                (
+                    "victims".to_owned(),
+                    AttrValue::U64(plain.victim_indices.len() as u64)
+                ),
+            ]
+        );
     }
 
     #[test]

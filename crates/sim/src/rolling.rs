@@ -20,10 +20,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use slotsel_obs::journal::{Journal, NoopJournal};
-use slotsel_obs::{
-    Metrics, NoopMetrics, NoopRecorder, NoopSpanSink, Recorder, SpanId, SpanSink, Stopwatch,
-    TraceEvent,
-};
+use slotsel_obs::{Metrics, Probes, Recorder, SpanId, SpanSink, Stopwatch, TraceEvent};
 
 use slotsel_batch::{BatchScheduler, BatchSchedulerConfig};
 use slotsel_core::money::Money;
@@ -147,110 +144,52 @@ pub fn simulate(config: &RollingConfig, jobs: Vec<Job>) -> RollingOutcome {
 /// successful migrations complete in the cycle; everything that completes
 /// has passed the replay audit against the *perturbed* environment.
 ///
-/// Equivalent to [`simulate_with_recovery_traced`] with a
-/// [`NoopRecorder`]; the probes compile away on this path.
+/// Equivalent to [`simulate_with_recovery_probed`] with [`Probes::none`]
+/// and a [`NoopJournal`]; the probes compile away on this path.
 #[must_use]
 pub fn simulate_with_recovery(config: &RollingConfig, jobs: Vec<Job>) -> RollingReport {
-    simulate_with_recovery_traced(config, jobs, &mut NoopRecorder)
+    simulate_with_recovery_probed(config, jobs, Probes::none(), &mut NoopJournal)
 }
 
-/// Runs the fault-injected rolling simulation with observability probes.
+/// Runs the fault-injected rolling simulation with observability probes
+/// and a write-ahead journal.
 ///
 /// On top of [`simulate_with_recovery`]'s behaviour, the run reports to
-/// `recorder`:
+/// each enabled sink of `probes`:
 ///
-/// - [`TraceEvent::CycleStarted`] / [`TraceEvent::CycleFinished`] around
-///   every executed cycle, plus a `"rolling.cycle"` wall-clock timing;
-/// - the per-cycle batch scheduling events (the cycle calls
-///   [`BatchScheduler::schedule_traced`] on the same recorder);
-/// - every injected disruption ([`TraceEvent::SlotRevoked`],
+/// - recorder: [`TraceEvent::CycleStarted`] / [`TraceEvent::CycleFinished`]
+///   around every executed cycle, plus a `"rolling.cycle"` wall-clock
+///   timing; the per-cycle batch scheduling events
+///   ([`BatchScheduler::schedule_probed`] runs on the same sinks); every
+///   injected disruption ([`TraceEvent::SlotRevoked`],
 ///   [`TraceEvent::NodeFailed`], [`TraceEvent::NodeRestored`],
-///   [`TraceEvent::NodeDegraded`]);
-/// - every replay-audit verdict ([`TraceEvent::WindowAudited`]) and
-///   recovery decision ([`TraceEvent::JobRescued`],
-///   [`TraceEvent::JobLost`], [`TraceEvent::JobParked`],
-///   [`TraceEvent::JobReadmitted`]).
-///
-/// With a deterministic sink (one that drops wall-clock timings, such as
-/// [`slotsel_obs::TraceRecorder::deterministic`]), the emitted trace is a
-/// pure function of `(config, jobs)` — byte-identical across runs.
-#[must_use]
-pub fn simulate_with_recovery_traced<R: Recorder>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-) -> RollingReport {
-    simulate_with_recovery_metered(config, jobs, recorder, &NoopMetrics)
-}
-
-/// Runs the fault-injected rolling simulation with tracing and live
-/// metrics.
-///
-/// On top of [`simulate_with_recovery_traced`]'s behaviour, the run
-/// records to `metrics` (all names prefixed `slotsel_`):
-///
-/// - `rolling_cycles_total`, `rolling_jobs_completed_total` and the
-///   `rolling_cycle_seconds` histogram — per executed cycle;
-/// - `rolling_pending_jobs`, `rolling_parked_jobs`,
-///   `rolling_cycle_spent_credits` — gauges refreshed every cycle;
-/// - `disruption_events_total{kind=…}` — per injected fault;
-/// - at run end, the survival tallies: `windows_disrupted_total`,
+///   [`TraceEvent::NodeDegraded`]); every replay-audit verdict
+///   ([`TraceEvent::WindowAudited`]) and recovery decision
+///   ([`TraceEvent::JobRescued`], [`TraceEvent::JobLost`],
+///   [`TraceEvent::JobParked`], [`TraceEvent::JobReadmitted`]);
+/// - metrics (all names prefixed `slotsel_`): `rolling_cycles_total`,
+///   `rolling_jobs_completed_total` and the `rolling_cycle_seconds`
+///   histogram per executed cycle; `rolling_pending_jobs`,
+///   `rolling_parked_jobs`, `rolling_cycle_spent_credits` gauges refreshed
+///   every cycle; `disruption_events_total{kind=…}` per injected fault; at
+///   run end the survival tallies `windows_disrupted_total`,
 ///   `jobs_lost_total`, `jobs_rescued_total{via="retry"|"migrate"}`,
-///   `audit_failures_total`, plus the `survival_rate` and
-///   `rolling_starved_jobs` gauges;
-/// - the per-cycle batch and scan metrics (the cycle calls
-///   [`BatchScheduler::schedule_metered`] on the same sink).
+///   `audit_failures_total` plus the `survival_rate` and
+///   `rolling_starved_jobs` gauges; and the per-cycle batch and scan
+///   metrics;
+/// - spans: one `"rolling.cycle"` span tree per executed cycle — the
+///   scheduler's `"batch.schedule"` phases with their per-job `"aep.scan"`
+///   leaves, plus, under fault injection, `"rolling.disruption"` (injected
+///   events), `"recovery.detect"` (the victim replay audit),
+///   `"rolling.recovery"` (the policy's decisions) and `"rolling.audit"`
+///   (the repaired-schedule re-validation).
 ///
-/// With [`NoopMetrics`] (or a disabled sink) every probe compiles away
-/// and the report is identical to the untraced simulation, bit for bit.
-#[must_use]
-pub fn simulate_with_recovery_metered<R: Recorder, M: Metrics>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
-) -> RollingReport {
-    run_journaled(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        &mut NoopJournal,
-    )
-}
-
-/// Runs the fault-injected rolling simulation with tracing, metrics and
-/// hierarchical spans.
+/// With a deterministic recorder (one that drops wall-clock timings, such
+/// as [`slotsel_obs::TraceRecorder::deterministic`]), the emitted trace is
+/// a pure function of `(config, jobs)` — byte-identical across runs.
 ///
-/// On top of [`simulate_with_recovery_metered`]'s behaviour, when `spans`
-/// is [enabled](SpanSink::enabled) every executed cycle records a
-/// `"rolling.cycle"` span tree — the scheduler's `"batch.schedule"`
-/// phases with their per-job `"aep.scan"` leaves, plus the
-/// disruption/recovery/audit phases under fault injection. With
-/// [`NoopSpanSink`] this is the metered simulation, bit for bit.
-#[must_use]
-pub fn simulate_with_recovery_spanned<R: Recorder, M: Metrics, S: SpanSink>(
-    config: &RollingConfig,
-    jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
-    spans: &mut S,
-) -> RollingReport {
-    run_spanned(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        &mut NoopJournal,
-        spans,
-    )
-}
-
-/// Runs the fault-injected rolling simulation with a write-ahead journal.
-///
-/// On top of [`simulate_with_recovery_metered`]'s behaviour, the run
-/// appends a [`JournalRecord`] stream to `journal`
-/// (see `docs/DURABILITY.md`):
+/// When `journal` is enabled the run appends a [`JournalRecord`] stream
+/// to it (see `docs/DURABILITY.md`):
 ///
 /// - [`JournalRecord::RunStarted`] with the full `(config, jobs)` inputs,
 ///   committed before the first cycle;
@@ -262,19 +201,19 @@ pub fn simulate_with_recovery_spanned<R: Recorder, M: Metrics, S: SpanSink>(
 /// - [`JournalRecord::RunFinished`] with the final report, committed.
 ///
 /// A run killed at *any* point mid-stream recovers through
-/// [`crate::journal::recover`] +
-/// [`resume_with_recovery_journaled`] to the bit-identical report of the
-/// uninterrupted run: the interrupted cycle's events are discarded and
-/// the cycle re-executes deterministically from the last barrier.
+/// [`crate::journal::recover`] + [`resume_with_recovery`] to the
+/// bit-identical report of the uninterrupted run: the interrupted cycle's
+/// events are discarded and the cycle re-executes deterministically from
+/// the last barrier.
 ///
-/// With a [`NoopJournal`] every journal probe compiles away and this is
-/// exactly [`simulate_with_recovery_metered`] (which delegates here).
+/// Every probe and journal append is gated on its sink's `enabled()`:
+/// with [`Probes::none`] and a [`NoopJournal`] this is exactly
+/// [`simulate_with_recovery`].
 #[must_use]
-pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
+pub fn simulate_with_recovery_probed<R: Recorder, M: Metrics, S: SpanSink, J: Journal>(
     config: &RollingConfig,
     jobs: Vec<Job>,
-    recorder: &mut R,
-    metrics: &M,
+    probes: Probes<R, M, S>,
     journal: &mut J,
 ) -> RollingReport {
     if journal.enabled() {
@@ -287,23 +226,8 @@ pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
         );
         journal.commit();
     }
-    let report = run_journaled(
-        config,
-        RollingState::initial(jobs),
-        recorder,
-        metrics,
-        journal,
-    );
-    if journal.enabled() {
-        journal.append(
-            &JournalRecord::RunFinished {
-                report: report.clone(),
-            }
-            .encode(),
-        );
-        journal.commit();
-    }
-    report
+    let report = run(config, RollingState::initial(jobs), probes, journal);
+    finish(report, journal)
 }
 
 /// Resumes a recovered journaled run from its last intact barrier and
@@ -316,22 +240,20 @@ pub fn simulate_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
 /// its checkpoint, which reproduces the uninterrupted run bit for bit
 /// (the crash-at-any-event property tests pin this).
 #[must_use]
-pub fn resume_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
+pub fn resume_with_recovery<R: Recorder, M: Metrics, S: SpanSink, J: Journal>(
     recovered: RecoveredRun,
-    recorder: &mut R,
-    metrics: &M,
+    probes: Probes<R, M, S>,
     journal: &mut J,
 ) -> RollingReport {
     if let Some(report) = recovered.finished {
         return report;
     }
-    let report = run_journaled(
-        &recovered.config,
-        recovered.state,
-        recorder,
-        metrics,
-        journal,
-    );
+    let report = run(&recovered.config, recovered.state, probes, journal);
+    finish(report, journal)
+}
+
+/// Appends and commits the [`JournalRecord::RunFinished`] record.
+fn finish<J: Journal>(report: RollingReport, journal: &mut J) -> RollingReport {
     if journal.enabled() {
         journal.append(
             &JournalRecord::RunFinished {
@@ -346,39 +268,18 @@ pub fn resume_with_recovery_journaled<R: Recorder, M: Metrics, J: Journal>(
 
 /// The rolling loop proper, parameterised over its starting
 /// [`RollingState`] — cycle `state.next_cycle` up to `config.max_cycles`.
-///
-/// All journal emissions are gated on [`Journal::enabled`]; with
-/// [`NoopJournal`] the gates are constant-false and monomorphise away,
-/// keeping the plain path bit-identical to the pre-journal
-/// implementation.
-fn run_journaled<R: Recorder, M: Metrics, J: Journal>(
-    config: &RollingConfig,
-    state: RollingState,
-    recorder: &mut R,
-    metrics: &M,
-    journal: &mut J,
-) -> RollingReport {
-    run_spanned(config, state, recorder, metrics, journal, &mut NoopSpanSink)
-}
-
-/// [`run_journaled`] with hierarchical spans: when `spans` is
-/// [enabled](SpanSink::enabled) every executed cycle records a
-/// `"rolling.cycle"` span whose children are the scheduler's
-/// `"batch.schedule"` tree plus, under fault injection,
-/// `"rolling.disruption"` (injected events), `"recovery.detect"` (the
-/// victim replay audit), `"rolling.recovery"` (the policy's decisions)
-/// and `"rolling.audit"` (the repaired-schedule re-validation). With
-/// [`NoopSpanSink`] every span branch is dead code and this is exactly
-/// [`run_journaled`] (which delegates here).
 #[allow(clippy::too_many_lines)]
-fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
+fn run<R: Recorder, M: Metrics, S: SpanSink, J: Journal>(
     config: &RollingConfig,
     state: RollingState,
-    recorder: &mut R,
-    metrics: &M,
+    probes: Probes<R, M, S>,
     journal: &mut J,
-    spans: &mut S,
 ) -> RollingReport {
+    let Probes {
+        mut recorder,
+        metrics,
+        mut spans,
+    } = probes;
     let metered = metrics.enabled();
     let spanning = spans.enabled();
     let scheduler = BatchScheduler::new(config.scheduler.clone());
@@ -448,14 +349,11 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
         let mut env = config
             .env
             .generate(&mut StdRng::seed_from_u64(config.seed + u64::from(cycle)));
-        let schedule = scheduler.schedule_spanned(
+        let schedule = scheduler.schedule_probed(
             env.platform(),
             env.slots(),
             &pending,
-            recorder,
-            metrics,
-            &mut NoopJournal,
-            spans,
+            Probes::new(&mut recorder, &metrics, &mut spans),
         );
 
         let mut committed: Vec<(Job, Window)> = Vec::new();
@@ -544,8 +442,11 @@ fn run_spanned<R: Recorder, M: Metrics, J: Journal, S: SpanSink>(
                 }
 
                 let pairs: Vec<(&Job, &Window)> = committed.iter().map(|(j, w)| (j, w)).collect();
-                let mut detection =
-                    recovery::detect_victims_spanned(&env, &pairs, &mut *recorder, spans);
+                let mut detection = recovery::detect_victims_probed(
+                    &env,
+                    &pairs,
+                    Probes::new(&mut recorder, &metrics, &mut spans),
+                );
                 survival.windows_disrupted += detection.victim_indices.len() as u64;
                 let recovery_span = if spanning {
                     Some(spans.open("rolling.recovery"))
@@ -1146,61 +1047,5 @@ mod tests {
         }
         let scheduled_total: usize = outcome.cycles.iter().map(|c| c.scheduled).sum();
         assert_eq!(scheduled_total, outcome.completions.len());
-    }
-
-    #[test]
-    fn spanned_simulation_matches_metered_and_nests_cycle_phases() {
-        use slotsel_obs::{MemorySpanSink, NoopSpanSink, SpanId};
-        let config = disrupted_config(RecoveryPolicy::RetryNextCycle {
-            backoff: 1,
-            max_attempts: 3,
-        });
-        let jobs: Vec<Job> = (0..6).map(|i| job(i, 1, 3, 200, 5_000)).collect();
-        let metered =
-            simulate_with_recovery_metered(&config, jobs.clone(), &mut NoopRecorder, &NoopMetrics);
-
-        // Disabled sink: the spanned entry point is the metered run.
-        let dark = simulate_with_recovery_spanned(
-            &config,
-            jobs.clone(),
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut NoopSpanSink,
-        );
-        assert_eq!(dark, metered);
-
-        // Enabled sink: same report, plus a per-cycle span tree.
-        let mut sink = MemorySpanSink::new();
-        let spanned = simulate_with_recovery_spanned(
-            &config,
-            jobs,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut sink,
-        );
-        assert_eq!(spanned, metered);
-        let records = sink.take_records();
-        let cycles: Vec<_> = records
-            .iter()
-            .filter(|r| r.name == "rolling.cycle")
-            .collect();
-        assert_eq!(cycles.len(), metered.outcome.cycles.len());
-        for cycle in &cycles {
-            assert_eq!(cycle.parent, SpanId::NONE, "cycles are roots");
-        }
-        // Disruptions fired (adversarial model), so the phase spans
-        // exist and each nests inside some cycle span.
-        for phase in ["batch.schedule", "rolling.disruption", "rolling.audit"] {
-            let child = records
-                .iter()
-                .find(|r| r.name == phase)
-                .unwrap_or_else(|| panic!("missing {phase}"));
-            assert!(
-                cycles.iter().any(|c| c.id == child.parent
-                    && child.start_us >= c.start_us
-                    && child.end_us <= c.end_us),
-                "{phase} must nest inside its cycle"
-            );
-        }
     }
 }

@@ -72,7 +72,7 @@ use slotsel_core::window::Window;
 use slotsel_env::EnvironmentConfig;
 use slotsel_obs::journal::{read_journal, Journal, NoopJournal, SnapshotStore};
 use slotsel_obs::metrics::{Metrics, NoopMetrics};
-use slotsel_obs::{MemorySpanSink, NoopRecorder, NoopSpanSink, SpanId, SpanSink};
+use slotsel_obs::{MemorySpanSink, NoopRecorder, NoopSpanSink, Probes, SpanId, SpanSink};
 
 use crate::journal::{journal_path, snapshot_dir, RecoverError};
 use crate::parallel::{self, Parallelism};
@@ -722,14 +722,11 @@ impl LiveService {
                 let span = sink.open("serve.shard");
                 sink.attr_u64("shard", shard as u64);
                 sink.attr_u64("jobs", jobs.len() as u64);
-                let schedule = scheduler.schedule_spanned(
+                let schedule = scheduler.schedule_probed(
                     &shards[shard].platform,
                     &shards[shard].slots,
                     jobs,
-                    &mut NoopRecorder,
-                    &NoopMetrics,
-                    &mut NoopJournal,
-                    &mut sink,
+                    Probes::new(NoopRecorder, NoopMetrics, &mut sink),
                 );
                 sink.close(span);
                 (schedule, sink.take_records())
@@ -759,15 +756,17 @@ impl LiveService {
                 let job = assignment.job.id();
                 match &assignment.window {
                     Some(window) if reserve_window(&mut self.state.shards[shard].slots, window) => {
-                        journal.append(
-                            &LiveRecord::Committed {
-                                cycle,
-                                job: job.0,
-                                shard: shard as u32,
-                                window: window.clone(),
-                            }
-                            .encode(),
-                        );
+                        if journal.enabled() {
+                            journal.append(
+                                &LiveRecord::Committed {
+                                    cycle,
+                                    job: job.0,
+                                    shard: shard as u32,
+                                    window: window.clone(),
+                                }
+                                .encode(),
+                            );
+                        }
                         outcome.committed.push((job, shard as u32));
                         new_phase.insert(
                             job.0,
@@ -778,14 +777,16 @@ impl LiveService {
                         );
                     }
                     _ => {
-                        journal.append(
-                            &LiveRecord::Deferred {
-                                cycle,
-                                job: job.0,
-                                shard: shard as u32,
-                            }
-                            .encode(),
-                        );
+                        if journal.enabled() {
+                            journal.append(
+                                &LiveRecord::Deferred {
+                                    cycle,
+                                    job: job.0,
+                                    shard: shard as u32,
+                                }
+                                .encode(),
+                            );
+                        }
                         outcome.deferred.push(job);
                     }
                 }
@@ -863,13 +864,15 @@ impl LiveService {
             } = &entry.phase
             {
                 if window.finish() <= self.state.shards[entry.shard as usize].now {
-                    journal.append(
-                        &LiveRecord::Finished {
-                            cycle,
-                            job: entry.id.0,
-                        }
-                        .encode(),
-                    );
+                    if journal.enabled() {
+                        journal.append(
+                            &LiveRecord::Finished {
+                                cycle,
+                                job: entry.id.0,
+                            }
+                            .encode(),
+                        );
+                    }
                     outcome.finished.push(entry.id);
                     entry.phase = JobPhase::Finished {
                         window: window.clone(),
@@ -888,13 +891,15 @@ impl LiveService {
         self.state.cycle += 1;
         self.recompute_usage();
 
-        journal.append(
-            &LiveRecord::CycleCommitted {
-                state: self.state.clone(),
-            }
-            .encode(),
-        );
-        journal.commit();
+        if journal.enabled() {
+            journal.append(
+                &LiveRecord::CycleCommitted {
+                    state: self.state.clone(),
+                }
+                .encode(),
+            );
+            journal.commit();
+        }
 
         if spanning {
             spans.close(root);

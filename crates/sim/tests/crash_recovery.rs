@@ -19,15 +19,15 @@ use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::{EnvironmentConfig, NodeGenConfig};
-use slotsel_obs::{NoopMetrics, NoopRecorder};
+use slotsel_obs::Probes;
 use slotsel_sim::disruption::DisruptionConfig;
 use slotsel_sim::journal::{
     journal_path, recover, replay, CrashJournal, DurableJournal, RecordingJournal, RecoverError,
 };
 use slotsel_sim::recovery::RecoveryPolicy;
 use slotsel_sim::rolling::{
-    resume_with_recovery_journaled, simulate_with_recovery, simulate_with_recovery_journaled,
-    RollingConfig, RollingReport,
+    resume_with_recovery, simulate_with_recovery, simulate_with_recovery_probed, RollingConfig,
+    RollingReport,
 };
 
 fn job(id: u32, priority: u32, nodes: usize, volume: u64, budget: i64) -> Job {
@@ -64,13 +64,7 @@ fn disrupted_config(recovery: RecoveryPolicy, seed: u64) -> RollingConfig {
 /// record stream.
 fn reference(config: &RollingConfig, jobs: Vec<Job>) -> (RollingReport, Vec<String>) {
     let mut journal = RecordingJournal::new();
-    let report = simulate_with_recovery_journaled(
-        config,
-        jobs,
-        &mut NoopRecorder,
-        &NoopMetrics,
-        &mut journal,
-    );
+    let report = simulate_with_recovery_probed(config, jobs, Probes::none(), &mut journal);
     (report, journal.into_records())
 }
 
@@ -99,8 +93,7 @@ fn assert_crash_point_recovers(
         .unwrap_or_else(|error| panic!("{context}: prefix of {k} records must replay: {error}"));
     let trusted = records_within(&records[..k], run.resume_len);
     let mut resumed_journal = RecordingJournal::new();
-    let resumed =
-        resume_with_recovery_journaled(run, &mut NoopRecorder, &NoopMetrics, &mut resumed_journal);
+    let resumed = resume_with_recovery(run, Probes::none(), &mut resumed_journal);
     assert_eq!(
         &resumed, report,
         "{context}: crash after record {k} must recover bit-identically"
@@ -177,13 +170,7 @@ fn crash_journal_observes_the_reference_prefix() {
     let (_, records) = reference(&config, batch(5));
     for k in [0usize, 1, records.len() / 2, records.len() + 10] {
         let mut crash = CrashJournal::new(k as u64);
-        let _ = simulate_with_recovery_journaled(
-            &config,
-            batch(5),
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut crash,
-        );
+        let _ = simulate_with_recovery_probed(&config, batch(5), Probes::none(), &mut crash);
         let kept = k.min(records.len());
         assert_eq!(crash.records(), &records[..kept]);
         assert_eq!(crash.dropped(), (records.len() - kept) as u64);
@@ -205,13 +192,7 @@ fn durable_journal_round_trips_a_full_run_on_disk() {
     let dir = temp_dir("full");
     let config = disrupted_config(RecoveryPolicy::Migrate, 7);
     let mut journal = DurableJournal::create(&dir, 3).unwrap();
-    let report = simulate_with_recovery_journaled(
-        &config,
-        batch(5),
-        &mut NoopRecorder,
-        &NoopMetrics,
-        &mut journal,
-    );
+    let report = simulate_with_recovery_probed(&config, batch(5), Probes::none(), &mut journal);
     journal.finish().unwrap();
 
     let run = recover(&dir).unwrap();
@@ -219,12 +200,7 @@ fn durable_journal_round_trips_a_full_run_on_disk() {
     assert_eq!(run.finished, Some(report.clone()));
     // Recovering a finished journal resumes to the report without
     // re-executing or appending.
-    let resumed = resume_with_recovery_journaled(
-        run,
-        &mut NoopRecorder,
-        &NoopMetrics,
-        &mut slotsel_obs::journal::NoopJournal,
-    );
+    let resumed = resume_with_recovery(run, Probes::none(), &mut slotsel_obs::journal::NoopJournal);
     assert_eq!(resumed, report);
 }
 
@@ -242,13 +218,7 @@ fn byte_truncated_journals_recover_and_resume_on_disk() {
     // snapshot store empty so truncating the journal cannot make a
     // snapshot run ahead of it (that refusal has its own test).
     let mut journal = DurableJournal::create(&dir, 1_000_000).unwrap();
-    let report = simulate_with_recovery_journaled(
-        &config,
-        batch(5),
-        &mut NoopRecorder,
-        &NoopMetrics,
-        &mut journal,
-    );
+    let report = simulate_with_recovery_probed(&config, batch(5), Probes::none(), &mut journal);
     journal.finish().unwrap();
     let original = std::fs::read(journal_path(&dir)).unwrap();
 
@@ -272,12 +242,7 @@ fn byte_truncated_journals_recover_and_resume_on_disk() {
             Err(error) => panic!("cut at byte {cut} must stay recoverable: {error}"),
         };
         let mut resumed_journal = DurableJournal::resume(&dir, &run, 3).unwrap();
-        let resumed = resume_with_recovery_journaled(
-            run,
-            &mut NoopRecorder,
-            &NoopMetrics,
-            &mut resumed_journal,
-        );
+        let resumed = resume_with_recovery(run, Probes::none(), &mut resumed_journal);
         resumed_journal.finish().unwrap();
         assert_eq!(resumed, report, "cut at byte {cut}");
         // The repaired journal on disk is whole again.

@@ -7,8 +7,11 @@ use slotsel_core::money::Money;
 use slotsel_core::node::Volume;
 use slotsel_core::request::{Job, JobId, ResourceRequest};
 use slotsel_env::{EnvironmentConfig, NodeGenConfig};
-use slotsel_obs::{read_trace, MemoryRecorder, TraceEvent, TraceRecorder};
-use slotsel_sim::rolling::{simulate_with_recovery, simulate_with_recovery_traced, RollingConfig};
+use slotsel_obs::{
+    read_trace, MemoryRecorder, NoopJournal, NoopMetrics, NoopSpanSink, Probes, Recorder,
+    TraceEvent, TraceRecorder,
+};
+use slotsel_sim::rolling::{simulate_with_recovery_probed, RollingConfig, RollingReport};
 use slotsel_sim::{DisruptionConfig, RecoveryPolicy};
 
 fn job(id: u32, priority: u32, n: usize, volume: u64, budget: i64) -> Job {
@@ -41,11 +44,17 @@ fn disrupted_config(recovery: RecoveryPolicy) -> RollingConfig {
     }
 }
 
+/// Runs the simulation with only `recorder` attached.
+fn simulate_traced<R: Recorder>(config: &RollingConfig, recorder: R) -> RollingReport {
+    let probes = Probes::new(recorder, NoopMetrics, NoopSpanSink);
+    simulate_with_recovery_probed(config, jobs(), probes, &mut NoopJournal)
+}
+
 /// Runs the simulation into a deterministic (timing-free) JSONL sink and
 /// returns the raw bytes.
 fn trace_bytes(config: &RollingConfig) -> Vec<u8> {
     let mut recorder = TraceRecorder::deterministic(Vec::new());
-    let _ = simulate_with_recovery_traced(config, jobs(), &mut recorder);
+    let _ = simulate_traced(config, &mut recorder);
     recorder.finish().expect("writing to a Vec cannot fail")
 }
 
@@ -84,7 +93,7 @@ fn every_emitted_event_round_trips_through_jsonl() {
 
     // The in-memory recorder sees the events as Rust values…
     let mut memory = MemoryRecorder::new();
-    let _ = simulate_with_recovery_traced(&config, jobs(), &mut memory);
+    let _ = simulate_traced(&config, &mut memory);
 
     // …the JSONL recorder sees them as serialized lines. Decoding the
     // lines must reproduce the values exactly (timings excluded: the
@@ -102,19 +111,10 @@ fn every_emitted_event_round_trips_through_jsonl() {
 }
 
 #[test]
-fn traced_run_equals_untraced_run() {
-    let config = disrupted_config(RecoveryPolicy::Migrate);
-    let plain = simulate_with_recovery(&config, jobs());
-    let mut recorder = TraceRecorder::deterministic(Vec::new());
-    let traced = simulate_with_recovery_traced(&config, jobs(), &mut recorder);
-    assert_eq!(plain, traced, "probes must not change simulation results");
-}
-
-#[test]
 fn trace_is_consistent_with_the_survival_report() {
     let config = disrupted_config(RecoveryPolicy::Migrate);
     let mut memory = MemoryRecorder::new();
-    let report = simulate_with_recovery_traced(&config, jobs(), &mut memory);
+    let report = simulate_traced(&config, &mut memory);
 
     let count = |pred: &dyn Fn(&&TraceEvent) -> bool| -> u64 {
         memory.events().iter().filter(pred).count() as u64

@@ -23,10 +23,10 @@ use std::path::PathBuf;
 
 use slotsel::core::{Job, JobId, Money, RequestError, ResourceRequest, Volume};
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::TraceRecorder;
+use slotsel::obs::{NoopJournal, NoopMetrics, NoopSpanSink, Probes, TraceRecorder};
 use slotsel::sim::disruption::DisruptionConfig;
 use slotsel::sim::recovery::RecoveryPolicy;
-use slotsel::sim::rolling::{simulate_with_recovery_traced, RollingConfig, RollingReport};
+use slotsel::sim::rolling::{simulate_with_recovery_probed, RollingConfig, RollingReport};
 
 fn workload() -> Result<Vec<Job>, RequestError> {
     (0..10)
@@ -60,7 +60,8 @@ fn run(policy: RecoveryPolicy, trace_path: &PathBuf) -> Result<RollingReport, Re
     };
     let sink = BufWriter::new(File::create(trace_path).expect("create trace file"));
     let mut recorder = TraceRecorder::deterministic(sink);
-    let report = simulate_with_recovery_traced(&config, workload()?, &mut recorder);
+    let probes = Probes::new(&mut recorder, NoopMetrics, NoopSpanSink);
+    let report = simulate_with_recovery_probed(&config, workload()?, probes, &mut NoopJournal);
     recorder.finish().expect("flush trace file");
     Ok(report)
 }

@@ -3,7 +3,7 @@
 //! registry's Prometheus text rendering is printed — the exact payload
 //! `slotsel serve` exposes on `GET /metrics`.
 //!
-//! The run is the metered twin of `fault_tolerant_rolling`: slots are
+//! The run is `fault_tolerant_rolling` with metrics attached: slots are
 //! revoked and nodes fail between commit and execution, and the retry
 //! policy re-enqueues the victims. Counters (scans, batches, disruption
 //! events), gauges (survival rate) and histograms (cycle/scan latency)
@@ -15,10 +15,12 @@
 
 use slotsel::core::{Job, JobId, Money, RequestError, ResourceRequest, Volume};
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::{render_prometheus, MetricsRegistry, NoopRecorder};
+use slotsel::obs::{
+    render_prometheus, MetricsRegistry, NoopJournal, NoopRecorder, NoopSpanSink, Probes,
+};
 use slotsel::sim::disruption::DisruptionConfig;
 use slotsel::sim::recovery::RecoveryPolicy;
-use slotsel::sim::rolling::{simulate_with_recovery_metered, RollingConfig};
+use slotsel::sim::rolling::{simulate_with_recovery_probed, RollingConfig};
 
 fn job(
     id: u32,
@@ -57,7 +59,8 @@ fn main() -> Result<(), RequestError> {
         .collect::<Result<Vec<_>, _>>()?;
 
     let registry = MetricsRegistry::new();
-    let report = simulate_with_recovery_metered(&config, jobs, &mut NoopRecorder, &registry);
+    let probes = Probes::new(NoopRecorder, &registry, NoopSpanSink);
+    let report = simulate_with_recovery_probed(&config, jobs, probes, &mut NoopJournal);
 
     println!(
         "ran {} cycles: {} completed, {} starved, survival rate {:.3}",

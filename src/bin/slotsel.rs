@@ -37,17 +37,16 @@ use slotsel::obs::journal::{Journal, NoopJournal};
 use slotsel::obs::json::{parse_object, JsonObject, ObjectWriter};
 use slotsel::obs::{
     chrome, FlightRecorder, Handler, HttpRequest, HttpResponse, MemorySpanSink, Metrics,
-    MetricsRegistry, MetricsServer, NoopRecorder, SpanRecord,
+    MetricsRegistry, MetricsServer, NoopRecorder, NoopSpanSink, Probes, SpanRecord,
 };
 use slotsel::sim::gantt::render_gantt;
 use slotsel::sim::journal::{recover, DurableJournal, RecoverError};
-use slotsel::sim::rolling::resume_with_recovery_journaled;
 use slotsel::sim::serve::{
     recover_live, JobEntry, LiveConfig, LiveRecord, LiveService, QuotaTable, Submission,
 };
 use slotsel::sim::{
-    simulate_with_recovery_journaled, simulate_with_recovery_metered, DisruptionConfig,
-    Parallelism, RecoveryPolicy, RollingConfig, RollingReport,
+    resume_with_recovery, simulate_with_recovery_probed, DisruptionConfig, Parallelism,
+    RecoveryPolicy, RollingConfig, RollingReport,
 };
 
 /// The on-disk environment format.
@@ -1058,12 +1057,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
                         registry.counter_add("slotsel_serve_recoveries_total", &[], 1);
                         let mut journal = DurableJournal::resume(&dir, &run, snapshot_every)
                             .map_err(|e| format!("{}: {e}", dir.display()))?;
-                        let report = resume_with_recovery_journaled(
-                            run,
-                            &mut NoopRecorder,
-                            registry.as_ref(),
-                            &mut journal,
-                        );
+                        let probes = Probes::new(NoopRecorder, registry.as_ref(), NoopSpanSink);
+                        let report = resume_with_recovery(run, probes, &mut journal);
                         journal
                             .finish()
                             .map_err(|e| format!("{}: {e}", dir.display()))?;
@@ -1104,30 +1099,21 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             ..RollingConfig::default()
         };
         registry.counter_add("slotsel_serve_rounds_total", &[], 1);
+        let probes = Probes::new(NoopRecorder, registry.as_ref(), NoopSpanSink);
         let report = match &journal_base {
             Some(base) => {
                 let dir = round_dir(base, round);
                 let mut journal = DurableJournal::create(&dir, snapshot_every)
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
-                let report = simulate_with_recovery_journaled(
-                    &config,
-                    batch.clone(),
-                    &mut NoopRecorder,
-                    registry.as_ref(),
-                    &mut journal,
-                );
+                let report =
+                    simulate_with_recovery_probed(&config, batch.clone(), probes, &mut journal);
                 // Flush + fsync the tail and write the final snapshot.
                 journal
                     .finish()
                     .map_err(|e| format!("{}: {e}", dir.display()))?;
                 report
             }
-            None => simulate_with_recovery_metered(
-                &config,
-                batch.clone(),
-                &mut NoopRecorder,
-                registry.as_ref(),
-            ),
+            None => simulate_with_recovery_probed(&config, batch.clone(), probes, &mut NoopJournal),
         };
         print_round(round, &report);
         round += 1;

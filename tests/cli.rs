@@ -617,6 +617,25 @@ fn live_serve_schedules_concurrent_submits_from_two_tenants() {
 }
 
 #[test]
+fn live_serve_survives_a_trillion_credit_budget() {
+    // Sized in 1-credit units, this budget's MCKP table would need
+    // ~8 TB; the solver refuses it and phase 2 falls back to greedy.
+    let (mut child, addr) = spawn_live(&["--nodes", "8"]);
+    let body = r#"{"tenant":"whale","nodes":2,"volume":80,"budget":1e12}"#;
+    let response = live_request(&addr, "POST", "/submit", body);
+    assert!(response.starts_with("HTTP/1.1 200"), "{response}");
+
+    let job = wait_for_schedule(&addr, 0);
+    assert!(job.contains("\"start\":"), "the cycle completed: {job}");
+    let health = live_request(&addr, "GET", "/healthz", "");
+    assert!(health.starts_with("HTTP/1.1 200"), "{health}");
+
+    let bye = live_request(&addr, "POST", "/shutdown", "");
+    assert!(bye.starts_with("HTTP/1.1 200"), "{bye}");
+    assert!(child.wait().expect("daemon exits").success());
+}
+
+#[test]
 fn live_serve_rejects_over_quota_submits_with_a_typed_error() {
     let quota_file = temp_path("live-quotas.json");
     std::fs::write(

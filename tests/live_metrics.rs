@@ -13,9 +13,12 @@ use std::time::Duration;
 
 use slotsel::core::{Job, JobId, Money, ResourceRequest, Volume};
 use slotsel::env::{EnvironmentConfig, NodeGenConfig};
-use slotsel::obs::{MetricsRegistry, MetricsServer, NoopRecorder};
+use slotsel::obs::{
+    MemoryRecorder, MemorySpanSink, MetricsRegistry, MetricsServer, NoopJournal, NoopRecorder,
+    NoopSpanSink, Probes, SpanId, TraceEvent,
+};
 use slotsel::sim::{
-    simulate_with_recovery, simulate_with_recovery_metered, DisruptionConfig, RecoveryPolicy,
+    simulate_with_recovery, simulate_with_recovery_probed, DisruptionConfig, RecoveryPolicy,
     RollingConfig,
 };
 
@@ -70,23 +73,111 @@ fn scrape(addr: std::net::SocketAddr, path: &str) -> (String, String, String) {
     (status.to_owned(), headers.to_owned(), body.to_owned())
 }
 
+/// The rolling layer's identity test: under every recovery policy, a run
+/// with all three sinks live reports exactly what the plain run reports,
+/// and each sink receives the events, metrics and spans of every layer.
 #[test]
 fn metered_simulation_is_bit_identical_to_plain() {
-    let registry = MetricsRegistry::new();
-    let metered = simulate_with_recovery_metered(&config(), jobs(), &mut NoopRecorder, &registry);
-    let plain = simulate_with_recovery(&config(), jobs());
-    assert_eq!(metered, plain, "metrics must not alter scheduling");
-    assert!(
-        registry.counter_value("slotsel_rolling_cycles_total", &[]) > 0,
-        "the metered run must actually record"
-    );
+    for recovery in [
+        RecoveryPolicy::Abandon,
+        RecoveryPolicy::RetryNextCycle {
+            backoff: 1,
+            max_attempts: 3,
+        },
+        RecoveryPolicy::Migrate,
+    ] {
+        let config = RollingConfig {
+            recovery,
+            ..config()
+        };
+        let plain = simulate_with_recovery(&config, jobs());
+        let mut recorder = MemoryRecorder::new();
+        let registry = MetricsRegistry::new();
+        let mut sink = MemorySpanSink::new();
+        let probes = Probes::new(&mut recorder, &registry, &mut sink);
+        let probed = simulate_with_recovery_probed(&config, jobs(), probes, &mut NoopJournal);
+        assert_eq!(probed, plain, "probes must not alter scheduling");
+        let cycles = plain.outcome.cycles.len() as u64;
+        assert!(cycles > 0);
+
+        // Recorder: one start/finish per cycle, the batch events
+        // underneath, the replay audit and a timing per cycle. (Scans
+        // below the batch layer report metrics and spans only.)
+        let count = |pred: fn(&TraceEvent) -> bool| {
+            recorder.events().iter().filter(|e| pred(e)).count() as u64
+        };
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::CycleStarted { .. })),
+            cycles
+        );
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::CycleFinished { .. })),
+            cycles
+        );
+        assert_eq!(
+            count(|e| matches!(e, TraceEvent::BatchStarted { .. })),
+            cycles
+        );
+        assert!(count(|e| matches!(e, TraceEvent::AlternativesFound { .. })) > 0);
+        assert!(count(|e| matches!(e, TraceEvent::WindowAudited { .. })) > 0);
+        assert_eq!(recorder.timer("rolling.cycle").unwrap().count(), cycles);
+
+        // Metrics: per-cycle counters of the rolling and batch layers and
+        // the survival tallies at run end.
+        assert_eq!(
+            registry.counter_value("slotsel_rolling_cycles_total", &[]),
+            cycles
+        );
+        assert_eq!(registry.counter_value("slotsel_batch_total", &[]), cycles);
+        assert!(registry.counter_value("slotsel_scan_total", &[("policy", "AMP")]) > 0);
+        assert_eq!(
+            registry.counter_value("slotsel_rolling_jobs_completed_total", &[]),
+            plain.outcome.completions.len() as u64
+        );
+        assert_eq!(
+            registry.counter_value("slotsel_windows_disrupted_total", &[]),
+            plain.survival.windows_disrupted
+        );
+        let cycle_seconds = registry.histogram("slotsel_rolling_cycle_seconds", &[]);
+        assert_eq!(cycle_seconds.expect("cycle histogram").count(), cycles);
+
+        // Spans: one root per cycle, and the disruption-phase spans each
+        // nest inside some cycle.
+        let records = sink.take_records();
+        let roots: Vec<_> = records
+            .iter()
+            .filter(|r| r.name == "rolling.cycle")
+            .collect();
+        assert_eq!(roots.len() as u64, cycles);
+        assert!(
+            roots.iter().all(|r| r.parent == SpanId::NONE),
+            "cycles are roots"
+        );
+        for phase in [
+            "batch.schedule",
+            "rolling.disruption",
+            "recovery.detect",
+            "rolling.audit",
+        ] {
+            let child = records
+                .iter()
+                .find(|r| r.name == phase)
+                .unwrap_or_else(|| panic!("missing {phase}"));
+            assert!(
+                roots.iter().any(|c| c.id == child.parent
+                    && child.start_us >= c.start_us
+                    && child.end_us <= c.end_us),
+                "{phase} must nest inside its cycle"
+            );
+        }
+    }
 }
 
 #[test]
 fn exporter_serves_a_scrapeable_prometheus_endpoint() {
     let registry = Arc::new(MetricsRegistry::new());
-    let report =
-        simulate_with_recovery_metered(&config(), jobs(), &mut NoopRecorder, registry.as_ref());
+    let probes = Probes::new(NoopRecorder, registry.as_ref(), NoopSpanSink);
+    let report = simulate_with_recovery_probed(&config(), jobs(), probes, &mut NoopJournal);
     assert!(!report.outcome.cycles.is_empty());
 
     let server =
